@@ -402,9 +402,8 @@ def curation_v2(
     (``functions/text.gopher_rule_flags``) resolved in ONE content-hash-
     bucketed exchange; returns per-survivor-lang (n_unique, n_members,
     n_pass).  The id column only needs a total order (ints or strings) —
-    the survivor is the minimum id.  Benched at 500k cc_pages docs
-    (bench.py ``curation_500k``); the catalog query ``curation_v2_stats``
-    is this operator applied to the documents table."""
+    the survivor is the minimum id.  The catalog query
+    ``curation_v2_stats`` is this operator applied to the documents table."""
     import numpy as np
 
     from q_digest_ray.stages.partitioning import derive_buckets

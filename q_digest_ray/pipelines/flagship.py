@@ -1,7 +1,7 @@
 """Flagship pipeline: web-page table → per-metric sketch estimates.
 
 read_parquet → [extract html→text + project metrics] → per-block sketch
-build (actor pool) → combiner → grouped merge (the only shuffle) →
+build (Ray tasks) → combiner → one fold of the sketch rows →
 finalize to a small result table:
 
     metric | group_key | stat | value
@@ -104,18 +104,14 @@ def finalize(sketches: dict[tuple[str, str], object]) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["metric", "group_key", "stat", "value"])
 
 
-def run_documents_flagship(
-    sf_dir: str, batch_size: int | None = None, concurrency=None
-) -> pd.DataFrame:
+def run_documents_flagship(sf_dir: str, batch_size: int | None = None) -> pd.DataFrame:
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang", "n_chars"])
-    rows = build_sketches(ds, documents_specs(), batch_size=batch_size, concurrency=concurrency)
+    rows = build_sketches(ds, documents_specs(), batch_size=batch_size)
     merged = merge_grouped(rows)
     return finalize(collect_sketches(merged))
 
 
-def run_cc_pages_flagship(
-    cc_dir: str, batch_size: int | None = None, concurrency=None
-) -> pd.DataFrame:
+def run_cc_pages_flagship(cc_dir: str, batch_size: int | None = None) -> pd.DataFrame:
     """The bench headline: extraction + projection + 14 sketches (all
     eleven families, incl. the beyond-spec KMV / Misra-Gries / SampleSketch
     / DDSketch / Count-Sketch) over the synthetic Common-Crawl table."""
@@ -128,6 +124,6 @@ def run_cc_pages_flagship(
         batch_size=batch_size,
         zero_copy_batch=True,
     )
-    rows = build_sketches(ds, cc_pages_specs(), batch_size=batch_size, concurrency=concurrency)
+    rows = build_sketches(ds, cc_pages_specs(), batch_size=batch_size)
     merged = merge_grouped(rows)
     return finalize(collect_sketches(merged))

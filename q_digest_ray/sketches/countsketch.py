@@ -87,7 +87,9 @@ class CountSketch(Sketch):
         ests = np.stack(
             [signs[d] * self.table[d][buckets[d]] for d in range(self.depth)]
         )
-        return np.median(ests, axis=0).astype(np.int64)
+        # an even depth averages the middle two rows: round the x.5 median
+        # (half to even) instead of truncating it toward zero
+        return np.round(np.median(ests, axis=0)).astype(np.int64)
 
     def f2_estimate(self) -> int:
         """Self-join size Σ f² (median-of-rows tug-of-war estimate)."""

@@ -25,42 +25,10 @@ def two_phase(
     partial_fn: Callable,
     final_fn: Callable[[pd.DataFrame], pd.DataFrame],
     batch_size: int | None = 65536,
-    fold_rounds: int = 0,
-    combine_fn: Callable | None = None,
-    concurrency=None,
 ):
     """partial_fn: Arrow batch → partial rows (Table/DataFrame);
-    final_fn: pandas DataFrame of all partials → result DataFrame.
-
-    ``partial_fn`` may be a callable CLASS (actor-pool stage holding
-    broadcast state); pass ``concurrency`` for it, as map_batches requires.
-
-    ``fold_rounds`` > 0 inserts intermediate combine rounds (tree fold) for
-    very large partial sets: each round coalesces the block count 8x and
-    applies ``combine_fn``, which is REQUIRED for folding — it must map
-    partial rows to partial rows (``final_fn`` usually renames/derives
-    columns, so re-applying it would break the next round).  ``combine_fn``
-    runs Arrow-native (pyarrow Table → Table): partials can carry binary
-    payloads, and a pandas round-trip would copy them through object dtype.
-    """
-    kwargs = {} if concurrency is None else {"concurrency": concurrency}
-    partials = ds.map_batches(
-        partial_fn, batch_format="pyarrow", batch_size=batch_size, **kwargs
-    )
-    if fold_rounds > 0:
-        if combine_fn is None:
-            raise ValueError(
-                "fold_rounds > 0 requires combine_fn (a partials -> partials "
-                "combiner; final_fn's output schema usually differs)"
-            )
-        from q_digest_ray.stages.partitioning import estimate_num_blocks
-
-        target = estimate_num_blocks(ds)
-        for _ in range(fold_rounds):
-            target = max(8, target // 8)
-            partials = partials.repartition(target).map_batches(
-                combine_fn, batch_format="pyarrow", batch_size=None
-            )
+    final_fn: pandas DataFrame of all partials → result DataFrame."""
+    partials = ds.map_batches(partial_fn, batch_format="pyarrow", batch_size=batch_size)
     return partials.repartition(1).map_batches(
         final_fn, batch_format="pandas", batch_size=None
     )

@@ -1,9 +1,10 @@
 """Per-block sketch build stage (the UDAF *update* leg, SURVEY.md §3.4).
 
-``SketchBuilder`` is a callable class → Ray Data runs it as an actor pool
-(``map_batches(SketchBuilder(specs)..., concurrency=N)``); spec parsing and
-constructor plumbing happen once per actor, each batch produces one tiny
-"sketch row" per (spec × group) — the mergeable-summary IR:
+``update_sketch`` is the one insert rule every build path shares: it decides,
+per sketch kind, which input form the kind takes and whether it accepts
+weights.  ``SketchBuilder`` is a plain ``map_batches`` callable — an instance,
+so Ray Data runs it as tasks — that turns each batch into one tiny "sketch
+row" per (spec × group), the mergeable-summary IR:
 
     metric: string, sketch: string, group_key: string, payload: binary, n: int64
 
@@ -22,7 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from q_digest_ray.sketches.base import sketch_from_bytes
+from q_digest_ray.functions.hashing import hash64
 from q_digest_ray.sketches.bloom import BloomFilter
 from q_digest_ray.sketches.cms import CountMinSketch
 from q_digest_ray.sketches.countsketch import CountSketch
@@ -36,32 +37,29 @@ from q_digest_ray.sketches.qdigest import QDigest
 from q_digest_ray.sketches.sample import SampleSketch
 from q_digest_ray.sketches.tdigest import TDigest
 
+# kind -> (class, input form, accepts weights).  Input forms: "hashed" is the
+# column's hash64 (shared by all hashing specs of a batch), "arrow" the raw
+# Arrow column (sample hashes internally and keeps raw values), "matrix" a
+# list<float> column as an (n, d) row block, "numpy" the column as numpy.
+# Distinctness/membership sketches (and the distinct-value sample) are
+# weight-free by definition; CMS and Count-Sketch are frequency sketches and
+# take weights (csk even negative).
 _KINDS = {
-    "qdigest": QDigest,
-    "dds": DDSketch,
-    "hll": HyperLogLog,
-    "cms": CountMinSketch,
-    "csk": CountSketch,
-    "bloom": BloomFilter,
-    "tdigest": TDigest,
-    "kll": KLL,
-    "kmv": KMV,
-    "mg": MisraGries,
-    "sample": SampleSketch,
-    "fd": FrequentDirections,
+    "qdigest": (QDigest, "numpy", True),
+    "dds": (DDSketch, "numpy", True),
+    "hll": (HyperLogLog, "hashed", False),
+    "cms": (CountMinSketch, "hashed", True),
+    "csk": (CountSketch, "hashed", True),
+    "bloom": (BloomFilter, "hashed", False),
+    "tdigest": (TDigest, "numpy", True),
+    "kll": (KLL, "numpy", True),
+    "kmv": (KMV, "hashed", False),
+    "mg": (MisraGries, "numpy", True),
+    "sample": (SampleSketch, "arrow", False),
+    "fd": (FrequentDirections, "matrix", True),
 }
 
 GLOBAL_KEY = ""
-
-SKETCH_ROW_SCHEMA = pa.schema(
-    [
-        ("metric", pa.string()),
-        ("sketch", pa.string()),
-        ("group_key", pa.string()),
-        ("payload", pa.binary()),
-        ("n", pa.int64()),
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -83,25 +81,77 @@ class SketchSpec:
     salt: int = 0
     # weighted inserts (reference insert(key, count), src/qcore.c:201): each
     # row's value counts weight_column times — the pre-aggregated-histogram
-    # path for qdigest/kll/tdigest/cms/mg (distinctness/membership sketches
-    # — hll/bloom/kmv — reject weights: they are weight-free by definition)
+    # path (see _KINDS for which kinds take weights)
     weight_column: str | None = None
 
     def make(self):
-        return _KINDS[self.kind](**self.params)
+        return _KINDS[self.kind][0](**self.params)
 
 
-def _column_values(col: pa.ChunkedArray, kind: str):
-    """Numeric sketches take numpy; hashing sketches take the Arrow array;
-    the matrix sketch takes a list<float> column flattened to an (n, d)
-    row block (flatten() honors slice offsets)."""
-    if kind in ("hll", "cms", "csk", "bloom", "kmv", "sample"):
-        return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    if kind == "fd":
-        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+def _column_input(spec: SketchSpec, batch: pa.Table):
+    """``batch[spec.column]`` in the input form ``spec.kind`` takes."""
+    col = batch[spec.column]
+    form = _KINDS[spec.kind][1]
+    if form == "hashed":
+        return hash64(col)
+    if form == "arrow":
+        return col.combine_chunks()
+    if form == "matrix":
+        arr = col.combine_chunks()
+        # flatten() honors slice offsets
         flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
         return flat.reshape(len(arr), -1) if len(arr) else np.zeros((0, 0))
     return col.to_numpy(zero_copy_only=False)
+
+
+def update_sketch(sk, spec: SketchSpec, batch: pa.Table, sel=None, values=None):
+    """Insert rows ``sel`` (all rows when None) of ``batch`` into ``sk``.
+
+    The one insert rule for every build path (SketchBuilder, the
+    ``sketch_aggregate`` UDAF).  ``values`` is ``_column_input(spec, batch)``
+    when the caller already has it — SketchBuilder converts (and hashes) each
+    column once per batch, for every spec and group.  Returns ``sk``."""
+    _cls, form, weighted = _KINDS[spec.kind]
+    v = _column_input(spec, batch) if values is None else values
+    if sel is not None:
+        v = v.take(pa.array(sel)) if form == "arrow" else v[sel]
+    update = sk.update_hashed if form == "hashed" else sk.update_batch
+    if spec.weight_column is None:
+        update(v)
+    elif not weighted:
+        raise ValueError(f"{spec.kind} is a distinctness sketch — weights undefined")
+    else:
+        w = batch[spec.weight_column].to_numpy(zero_copy_only=False)
+        update(v, weights=w if sel is None else w[sel])
+    return sk
+
+
+def _groups(batch: pa.Table, spec: SketchSpec):
+    """(group label, row positions) per non-null group of ``spec.group_by``."""
+    gcol = batch[spec.group_by].combine_chunks()
+    # rows with a null group key are excluded from grouped sketches
+    # (dictionary_encode yields NaN codes otherwise)
+    valid_idx = None
+    if gcol.null_count:
+        valid_idx = np.flatnonzero(gcol.is_valid().to_numpy(zero_copy_only=False))
+        gcol = gcol.take(pa.array(valid_idx))
+    if spec.salt > 0:
+        salts = (hash64(gcol, seed=97) ^ np.arange(len(gcol), dtype=np.uint64)) % np.uint64(spec.salt)
+        gcol = pc.binary_join_element_wise(
+            gcol, pc.cast(pa.array(salts.astype(np.int64)), pa.string()), "#"
+        )
+    enc = gcol.dictionary_encode()
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    labels = enc.dictionary.to_pylist()
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+    bounds = np.r_[starts, len(sorted_codes)]
+    for gi in range(len(starts)):
+        sel = order[bounds[gi] : bounds[gi + 1]]
+        if valid_idx is not None:
+            sel = valid_idx[sel]  # back to full-column positions
+        yield str(labels[sorted_codes[starts[gi]]]), sel
 
 
 class SketchBuilder:
@@ -110,106 +160,27 @@ class SketchBuilder:
     def __init__(self, specs: list[SketchSpec]):
         self.specs = list(specs)
 
-    _HASHING_KINDS = ("hll", "cms", "csk", "bloom", "kmv")  # sample hashes internally (needs raw values too)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         metrics: list[str] = []
         kinds: list[str] = []
         keys: list[str] = []
         payloads: list[bytes] = []
         ns: list[int] = []
-        hash_cache: dict[str, np.ndarray] = {}
-
-        def column_hashes(name: str) -> np.ndarray:
-            # hash a shared column ONCE per batch for all hashing sketches
-            if name not in hash_cache:
-                from q_digest_ray.functions.hashing import hash64
-
-                col = batch[name]
-                hash_cache[name] = hash64(
-                    col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-                )
-            return hash_cache[name]
-
+        # each column converted (hashing kinds: hashed) ONCE per batch,
+        # shared by every spec and group that reads it
+        inputs: dict[tuple[str, str], object] = {}
         for spec in self.specs:
-            col = batch[spec.column]
-            hashing = spec.kind in self._HASHING_KINDS
-            w_np = None
-            if spec.weight_column is not None:
-                if hashing and spec.kind not in ("cms", "csk"):
-                    # distinctness/membership sketches are weight-free;
-                    # CMS/Count-Sketch are frequency sketches and take
-                    # weighted updates (csk even negative — turnstile)
-                    raise ValueError(
-                        f"{spec.kind} is a distinctness sketch — weights undefined"
-                    )
-                wcol = batch[spec.weight_column]
-                w_np = wcol.to_numpy(zero_copy_only=False)
-            if spec.group_by is None:
-                sk = spec.make()
-                if hashing and w_np is not None:
-                    sk.update_hashed(column_hashes(spec.column), weights=w_np)
-                elif hashing:
-                    sk.update_hashed(column_hashes(spec.column))
-                elif w_np is not None:
-                    sk.update_batch(_column_values(col, spec.kind), weights=w_np)
-                else:
-                    sk.update_batch(_column_values(col, spec.kind))
+            cache_key = (spec.column, _KINDS[spec.kind][1])
+            if cache_key not in inputs:
+                inputs[cache_key] = _column_input(spec, batch)
+            groups = [(GLOBAL_KEY, None)] if spec.group_by is None else _groups(batch, spec)
+            for key, sel in groups:
+                sk = update_sketch(spec.make(), spec, batch, sel, inputs[cache_key])
                 metrics.append(spec.metric)
                 kinds.append(spec.kind)
-                keys.append(GLOBAL_KEY)
+                keys.append(key)
                 payloads.append(sk.to_bytes())
                 ns.append(sk.n)
-            else:
-                gcol = batch[spec.group_by]
-                if isinstance(gcol, pa.ChunkedArray):
-                    gcol = gcol.combine_chunks()
-                # rows with a null group key are excluded from grouped
-                # sketches (dictionary_encode yields NaN codes otherwise)
-                valid_idx = None
-                if gcol.null_count:
-                    valid = gcol.is_valid().to_numpy(zero_copy_only=False)
-                    valid_idx = np.flatnonzero(valid)
-                    gcol = gcol.take(pa.array(valid_idx))
-                if spec.salt > 0:
-                    from q_digest_ray.functions.hashing import hash64
-
-                    salts = (hash64(gcol, seed=97) ^ np.arange(len(gcol), dtype=np.uint64)) % np.uint64(spec.salt)
-                    gcol = pc.binary_join_element_wise(
-                        gcol, pc.cast(pa.array(salts.astype(np.int64)), pa.string()), "#"
-                    )
-                enc = gcol.dictionary_encode()
-                codes = enc.indices.to_numpy(zero_copy_only=False)
-                labels = enc.dictionary.to_pylist()
-                flat = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-                order = np.argsort(codes, kind="stable")
-                sorted_codes = codes[order]
-                starts = np.flatnonzero(
-                    np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
-                )
-                bounds = np.r_[starts, len(sorted_codes)]
-                col_np = None
-                if not hashing:
-                    col_np = _column_values(flat, spec.kind)
-                for gi in range(len(starts)):
-                    sel = order[bounds[gi] : bounds[gi + 1]]
-                    if valid_idx is not None:
-                        sel = valid_idx[sel]  # back to full-column positions
-                    g = sorted_codes[starts[gi]]
-                    sk = spec.make()
-                    if hashing and w_np is not None:
-                        sk.update_hashed(column_hashes(spec.column)[sel], weights=w_np[sel])
-                    elif hashing:
-                        sk.update_hashed(column_hashes(spec.column)[sel])
-                    elif w_np is not None:
-                        sk.update_batch(col_np[sel], weights=w_np[sel])
-                    else:
-                        sk.update_batch(col_np[sel])
-                    metrics.append(spec.metric)
-                    kinds.append(spec.kind)
-                    keys.append(str(labels[g]))
-                    payloads.append(sk.to_bytes())
-                    ns.append(sk.n)
         return pa.table(
             {
                 "metric": pa.array(metrics, pa.string()),
@@ -221,80 +192,11 @@ class SketchBuilder:
         )
 
 
-def build_sketches(
-    ds,
-    specs: list[SketchSpec],
-    batch_size: int | None = None,
-    concurrency=None,
-):
+def build_sketches(ds, specs: list[SketchSpec], batch_size: int | None = None):
     """Dataset of input rows → Dataset of sketch rows (one per spec×group×block)."""
     return ds.map_batches(
         SketchBuilder(specs),
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
-
-
-def rehydrate(row_kind: str, payload: bytes):
-    return sketch_from_bytes(row_kind, payload)
-
-
-def build_sketches_stateful(ds, specs: list[SketchSpec], num_actors: int = 4):
-    """Stateful accumulate-across-batches build (SURVEY.md §7.3.7).
-
-    Each raw Ray actor consumes one ``streaming_split`` iterator and keeps
-    ONE sketch per (spec, group) for its whole split — emitting num_actors
-    partials total instead of one per block.  This is the one place the
-    Dataset API genuinely can't express the semantics (an end-of-stream
-    flush from map_batches actors has no hook), so we drop to ray.remote.
-
-    Returns the merged {(metric, group_key): sketch} dict.
-    """
-    import ray
-
-    from q_digest_ray.sketches.base import sketch_from_bytes as _from_bytes
-
-    builder_specs = list(specs)
-
-    @ray.remote
-    class Accumulator:
-        def __init__(self):
-            self.builder = SketchBuilder(builder_specs)
-            self.state: dict[tuple[str, str, str], object] = {}
-
-        def consume(self, it) -> int:
-            n = 0
-            for batch in it.iter_batches(batch_format="pyarrow", batch_size=8192):
-                rows = self.builder(batch)
-                for row in rows.to_pylist():
-                    key = (row["metric"], row["sketch"], row["group_key"])
-                    sk = _from_bytes(row["sketch"], row["payload"])
-                    if key in self.state:
-                        self.state[key].merge(sk)
-                    else:
-                        self.state[key] = sk
-                n += batch.num_rows
-            return n
-
-        def partials(self) -> list[tuple]:
-            return [
-                (m, kind, g, sk.to_bytes()) for (m, kind, g), sk in self.state.items()
-            ]
-
-    splits = ds.streaming_split(num_actors, equal=False)
-    actors = [Accumulator.remote() for _ in range(num_actors)]
-    ray.get([a.consume.remote(s) for a, s in zip(actors, splits)])
-    merged: dict[tuple[str, str], object] = {}
-    for part in ray.get([a.partials.remote() for a in actors]):
-        for metric, kind, group, payload in part:
-            sk = sketch_from_bytes(kind, payload)
-            key = (metric, group)
-            if key in merged:
-                merged[key].merge(sk)
-            else:
-                merged[key] = sk
-    for a in actors:
-        ray.kill(a)
-    return merged

@@ -1,18 +1,18 @@
 """Sketch-row merge stages (the UDAF *merge* leg).
 
-Two shapes, mirroring the reference's intended TreeAllreduce
+One fold, mirroring the reference's intended TreeAllreduce
 (/root/reference/mpi-implementation/src/treeReduce.c:31-90 — unfinished
 there; the authoritative semantics are serial merge(), src/qcore.c:390-417):
 
 1. ``combine_sketch_rows`` — a map_batches combiner that merges rows sharing
-   (metric, sketch, group_key) *within each block*.  Applied before any
-   shuffle it collapses num_blocks × groups rows down to ~groups per block,
-   so the wide step only moves tiny pre-merged payloads.
-2. ``merge_grouped`` — the one true shuffle: groupby the key triple and fold
-   each group's payloads.  Handles both grouped sketches and the global
-   (group_key="") fold in one uniform step.
+   (metric, sketch, group_key) *within each block*.  It collapses
+   num_blocks × groups rows down to ~groups per block, so every later step
+   only moves tiny pre-merged payloads.
+2. ``merge_grouped`` — coalesces the combined blocks (in 8x rounds when
+   there are many) and runs the same combiner over the result.  Handles both
+   grouped sketches and the global (group_key="") fold in one uniform step.
 
-Payloads are O(k) bytes, so the shuffle is metadata-cheap by design; skewed
+Payloads are O(k) bytes, so the fold is metadata-cheap by design; skewed
 group keys are irrelevant here because pre-combining bounds every group's
 row count at the number of blocks, not the number of input rows (salting
 is unnecessary for sketch rows — mergeability already collapsed the data).
@@ -90,64 +90,33 @@ def combine_sketch_rows(batch: pa.Table) -> pa.Table:
     )
 
 
-def _merge_group_table(g: pa.Table) -> pa.Table:
-    """One shuffle group (same key triple) → one merged sketch row.
-    Arrow-native: binary payloads never round-trip through pandas object
-    dtype (r4 judge nit — the fold path was the last pandas leg)."""
-    kind = g["sketch"][0].as_py()
-    payload = _merge_payload_group(kind, g["payload"].to_pylist())
-    return pa.table(
-        {
-            "metric": g["metric"].slice(0, 1),
-            "sketch": g["sketch"].slice(0, 1),
-            "group_key": g["group_key"].slice(0, 1),
-            "payload": pa.array([payload], type=g.schema.field("payload").type),
-            "n": pa.array([int(pc.sum(g["n"]).as_py() or 0)], type=g.schema.field("n").type),
-        }
-    )
+# the final combine task sees at most this many combined blocks; above it,
+# merge_grouped adds one 8x coalesce round per factor of 8
+FINAL_FOLD_MAX_BLOCKS = 512
 
 
-def merge_grouped(
-    sketch_rows_ds, shuffle: bool = False, fold_rounds: int | None = None
-):
+def merge_grouped(sketch_rows_ds):
     """Dataset of sketch rows → Dataset with one row per (metric, group).
 
-    Default (tree-fold) path: combine rows per block, then coalesce and run
-    one final combine task — the log-depth fold the reference's
-    TreeAllreduce intended, expressed as data movement.  Valid because the
-    combiner bounds the final input at num_blocks x groups tiny rows.
-
-    ``fold_rounds=None`` (default) auto-derives the intermediate rounds from
-    a public-API block-count estimate (partitioning.estimate_num_blocks;
-    file count ~= block count at production scale) so the final combine
-    task never sees more than
-    ~512 combined blocks: 0 rounds below that, one 8x coalesce round per
-    factor of 8 above it (a 1M-block input gets 4 rounds).  Pass an int to
-    override.
-
-    ``shuffle=True`` switches to a hash groupby on the key triple — the
-    right shape only when group cardinality itself is huge (e.g. per-host
-    sketches over millions of hosts).
+    Combine rows per block, then coalesce and run one final combine task —
+    the log-depth fold the reference's TreeAllreduce intended, expressed as
+    data movement.  Valid because the combiner bounds the final input at
+    num_blocks x groups tiny rows.  Intermediate rounds are derived from a
+    public-API block-count estimate (partitioning.estimate_num_blocks; file
+    count ~= block count at production scale): 0 rounds up to
+    ``FINAL_FOLD_MAX_BLOCKS`` blocks, then one 8x coalesce round per factor
+    of 8 above it (a 1M-block input gets 4 rounds).
     """
     from q_digest_ray.stages.partitioning import estimate_num_blocks
 
     nb = estimate_num_blocks(sketch_rows_ds)
-    if fold_rounds is None:
-        fold_rounds, t = 0, nb
-        while t > 512:
-            t //= 8
-            fold_rounds += 1
     ds = sketch_rows_ds.map_batches(
         combine_sketch_rows, batch_format="pyarrow", batch_size=4096
     )
-    if shuffle:
-        return ds.groupby(["metric", "sketch", "group_key"]).map_groups(
-            _merge_group_table, batch_format="pyarrow"
-        )
     target = nb
-    for _ in range(fold_rounds):
-        target = max(8, target // 8)
-        ds = ds.repartition(target).map_batches(
+    while target > FINAL_FOLD_MAX_BLOCKS:
+        target //= 8
+        ds = ds.repartition(max(8, target)).map_batches(
             combine_sketch_rows, batch_format="pyarrow", batch_size=None
         )
     return ds.repartition(1).map_batches(
@@ -160,22 +129,16 @@ def desalt(merged_ds):
 
     Exact because sketch merge is associative: merging the per-salt partial
     sketches yields the identical result to an unsalted single-level merge
-    (property-tested in tests/test_skew.py).  The input is one row per
-    (metric, salted key) — tiny — so one combine task suffices.
+    (property-tested in tests/test_skew_and_stateful.py).
     """
 
     def strip(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         key = pc.replace_substring_regex(batch["group_key"], r"#\d+$", "")
         return batch.set_column(
             batch.schema.get_field_index("group_key"), "group_key", key
         )
 
-    stripped = merged_ds.map_batches(strip, batch_format="pyarrow")
-    return stripped.repartition(1).map_batches(
-        combine_sketch_rows, batch_format="pyarrow", batch_size=None
-    )
+    return merge_grouped(merged_ds.map_batches(strip, batch_format="pyarrow"))
 
 
 def collect_sketches(merged_ds) -> dict[tuple[str, str], object]:

@@ -30,34 +30,15 @@ import pyarrow as pa
 
 from ray.data.aggregate import AggregateFn
 
-from q_digest_ray.stages.build import SketchBuilder, SketchSpec, _column_values
+from q_digest_ray.stages.build import SketchSpec, update_sketch
 
 
-def _update_from_block(sk, spec: SketchSpec, block) -> Any:
-    """Accumulate one Ray block (Arrow or pandas) into a sketch — the same
-    value-prep rules as SketchBuilder (hashed columns for distinctness/
-    frequency sketches, numpy for numeric ones, optional weight column)."""
+def _accumulate(spec: SketchSpec, sk, block):
+    """One Ray block (Arrow or pandas) into a sketch, through the build
+    stage's insert rule."""
     if not isinstance(block, pa.Table):
         block = pa.Table.from_pandas(block, preserve_index=False)
-    if block.num_rows == 0:
-        return sk
-    col = block[spec.column]
-    w = None
-    if spec.weight_column is not None:
-        w = block[spec.weight_column].to_numpy(zero_copy_only=False)
-    if spec.kind in SketchBuilder._HASHING_KINDS:
-        from q_digest_ray.functions.hashing import hash64
-
-        hashed = hash64(col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
-        if w is not None:
-            sk.update_hashed(hashed, weights=w)
-        else:
-            sk.update_hashed(hashed)
-    elif w is not None:
-        sk.update_batch(_column_values(col, spec.kind), weights=w)
-    else:
-        sk.update_batch(_column_values(col, spec.kind))
-    return sk
+    return sk if block.num_rows == 0 else update_sketch(sk, spec, block)
 
 
 def sketch_aggregate(
@@ -76,7 +57,7 @@ def sketch_aggregate(
     fin = finalize if finalize is not None else (lambda sk: sk.to_bytes())
     return AggregateFn(
         init=lambda _k: spec.make(),
-        accumulate_block=lambda acc, block: _update_from_block(acc, spec, block),
+        accumulate_block=lambda sk, block: _accumulate(spec, sk, block),
         merge=lambda a, b: a.merge(b),
         finalize=fin,
         name=name or spec.metric,

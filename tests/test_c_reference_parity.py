@@ -13,9 +13,11 @@ implementation:
 3. merge parity: C merge() of two serialized sketches and our merge of the
    same two stay within the shared eps*n rank bound of exact.
 
-Skipped automatically when no C compiler is available.
+Skipped automatically when no C compiler or no reference checkout is
+available.
 """
 
+import os
 import shutil
 import subprocess
 
@@ -24,9 +26,15 @@ import pytest
 
 from q_digest_ray.sketches.qdigest import QDigest
 
-pytestmark = pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
-
 REF = "/root/reference"
+
+pytestmark = [
+    pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler"),
+    pytest.mark.skipif(
+        not os.path.exists(f"{REF}/include/qcore.h"),
+        reason=f"C reference sources not found ({REF}/include/qcore.h missing)",
+    ),
+]
 
 # A minimal driver for the unmodified reference core.  Modes:
 #   q p1 p2 ...   : read one serialized digest from stdin, print percentile

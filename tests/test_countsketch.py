@@ -115,3 +115,17 @@ def test_builder_integration_grouped():
     whole = CountSketch(depth=3, width=64)
     whole.update_batch(np.array([1, 1, 2, 3, 1, 2], dtype=np.int64))
     assert np.array_equal(merged.table, whole.table)
+
+
+def test_even_depth_median_rounds():
+    """depth=4 averages the middle two rows: an x.5 median rounds to the
+    nearest integer instead of truncating toward zero."""
+    from q_digest_ray.functions.hashing import hash64
+
+    sk = CountSketch(depth=4, width=64)
+    key = np.array([7], dtype=np.int64)
+    buckets, signs = sk._bucket_sign(hash64(key))
+    for rows, want in (((1, 3, 4, 9), 4), ((-1, -3, -4, -9), -4)):  # median ±3.5
+        for d, est in enumerate(rows):
+            sk.table[d, buckets[d, 0]] = signs[d, 0] * est
+        assert sk.query(key)[0] == want

@@ -1,5 +1,5 @@
-"""Hypothesis property tests over the sketch protocol, plus shuffle-mode
-merge equivalence."""
+"""Hypothesis property tests over the sketch protocol, plus the fold merge
+against a driver-side combine."""
 
 import numpy as np
 import pytest
@@ -93,27 +93,43 @@ def test_tdigest_kll_monotone(vals):
         assert min(arr) <= qs[0] and qs[-1] <= max(arr)
 
 
-def test_shuffle_merge_equals_fold(ray_session):
-    """merge_grouped(shuffle=True) and the default fold agree exactly on n
-    and groups (the shuffle path is for huge group cardinality)."""
+def test_fold_merge_equals_driver_combine(ray_session):
+    """merge_grouped's fold and one driver-side combine_sketch_rows over the
+    concatenated build rows agree on groups and n; HLL estimates match
+    exactly (register max is order-free), q-digest quantiles both meet the
+    eps*n rank bound (its compress depends on merge order)."""
     import pyarrow as pa
     import ray.data
 
+    from q_digest_ray.sketches.base import sketch_from_bytes
     from q_digest_ray.stages.build import SketchSpec, build_sketches
-    from q_digest_ray.stages.merge import collect_sketches, merge_grouped
+    from q_digest_ray.stages.merge import collect_sketches, combine_sketch_rows, merge_grouped
 
     rng = np.random.default_rng(5)
-    t = pa.table(
-        {
-            "host": pa.array([f"h{i % 37}" for i in range(20_000)]),
-            "v": pa.array(rng.integers(0, 1 << 10, 20_000)),
-        }
-    )
+    hosts = np.array([f"h{i % 37}" for i in range(20_000)])
+    vals = rng.integers(0, 1 << 10, 20_000)
+    t = pa.table({"host": pa.array(hosts), "v": pa.array(vals)})
     ds = ray.data.from_arrow(t).repartition(8)
-    specs = [SketchSpec("q", "v", "qdigest", {"k": 64, "universe_bits": 10}, group_by="host")]
-    rows = build_sketches(ds, specs, batch_size=1024)
+    specs = [
+        SketchSpec("q", "v", "qdigest", {"k": 64, "universe_bits": 10}, group_by="host"),
+        SketchSpec("h", "v", "hll", {"p": 10}, group_by="host"),
+    ]
+    rows = build_sketches(ds, specs, batch_size=1024).materialize()
     fold = collect_sketches(merge_grouped(rows))
-    shuf = collect_sketches(merge_grouped(build_sketches(ds, specs, batch_size=1024), shuffle=True))
-    assert set(fold) == set(shuf)
-    for key in fold:
-        assert fold[key].n == shuf[key].n
+    combined = combine_sketch_rows(pa.concat_tables(ray.get(rows.to_arrow_refs())))
+    direct = {
+        (m, g): sketch_from_bytes(k, p)
+        for m, k, g, p in zip(*(combined[c].to_pylist() for c in ("metric", "sketch", "group_key", "payload")))
+    }
+    assert set(fold) == set(direct) and len(fold) == 2 * 37
+    eps = 10 / 64
+    for (metric, host), sk in fold.items():
+        assert sk.n == direct[(metric, host)].n == int((hosts == host).sum())
+        if metric == "h":
+            assert sk.estimate() == direct[(metric, host)].estimate()
+            continue
+        sv = np.sort(vals[hosts == host])
+        for p in (0.1, 0.5, 0.9, 0.99):
+            for est in (sk.quantile(p), direct[(metric, host)].quantile(p)):
+                rank = np.searchsorted(sv, est, side="right")
+                assert abs(rank - p * len(sv)) <= eps * len(sv) + 1

@@ -307,9 +307,10 @@ def test_combine_sketch_rows_all_singletons_passthrough():
     assert out.num_rows == 5
 
 
-def test_merge_grouped_auto_fold_matches_explicit(ray_session):
+def test_merge_grouped_auto_fold_matches_explicit(ray_session, monkeypatch):
     import ray.data
 
+    from q_digest_ray.stages import merge
     from q_digest_ray.stages.build import SketchSpec, build_sketches
     from q_digest_ray.stages.merge import collect_sketches, merge_grouped
 
@@ -319,7 +320,9 @@ def test_merge_grouped_auto_fold_matches_explicit(ray_session):
     rows = build_sketches(ds, specs, batch_size=128)
     auto = collect_sketches(merge_grouped(rows))[("q", "")]
     rows2 = build_sketches(ds, specs, batch_size=128)
-    manual = collect_sketches(merge_grouped(rows2, fold_rounds=2))[("q", "")]
+    # threshold 1 forces two 8x coalesce rounds over the 16 blocks
+    monkeypatch.setattr(merge, "FINAL_FOLD_MAX_BLOCKS", 1)
+    manual = collect_sketches(merge_grouped(rows2))[("q", "")]
     assert auto.n == manual.n == 2000
     for p in (0.25, 0.5, 0.9):
         assert abs(auto.quantile(p) - manual.quantile(p)) <= 2000 * 0.1
@@ -801,16 +804,6 @@ def test_text_len_negative_span_guarded():
     lens = text_len_from_html(pa.array([good, truncated], pa.binary()))
     assert lens[0] == len("hello world")
     assert lens[1] >= 0  # r2 bug: returned a negative length
-
-
-def test_two_phase_fold_requires_combine_fn(ray_session):
-    import ray.data
-
-    from q_digest_ray.stages.agg import two_phase
-
-    ds = ray.data.range(100)
-    with pytest.raises(ValueError, match="combine_fn"):
-        two_phase(ds, lambda b: b, lambda df: df, fold_rounds=2).to_pandas()
 
 
 def test_weighted_merge_order_invariance():

@@ -640,6 +640,32 @@ def test_sample_sketch_rejects_weights():
         SampleSketch(k=8).update_batch(np.arange(10), weights=np.ones(10))
 
 
+def test_grouped_sample_spec_matches_direct():
+    """A grouped sample spec takes each group's Arrow rows (it used to index
+    the Arrow column with a numpy array and raise TypeError)."""
+    import pyarrow as pa
+
+    from q_digest_ray.sketches.base import sketch_from_bytes
+    from q_digest_ray.sketches.sample import SampleSketch
+    from q_digest_ray.stages.build import SketchBuilder, SketchSpec
+
+    urls = [f"u{i}" for i in range(300)]
+    langs = ["en", "de", "fr"] * 100
+    rows = SketchBuilder([SketchSpec("s", "url", "sample", {"k": 8}, group_by="lang")])(
+        pa.table({"url": urls, "lang": langs})
+    )
+    got = {
+        g: sketch_from_bytes("sample", p)
+        for g, p in zip(rows["group_key"].to_pylist(), rows["payload"].to_pylist())
+    }
+    assert sorted(got) == ["de", "en", "fr"]
+    for lang, sk in got.items():
+        direct = SampleSketch(k=8)
+        direct.update_batch(pa.array([u for u, l in zip(urls, langs) if l == lang]))
+        assert sk.n == direct.n == 100
+        assert list(sk.sample()) == list(direct.sample())
+
+
 def test_sk_sample_users_deterministic(ray_session, sf_dir):
     from q_digest_ray.pipelines.queries import sk_sample_users
 

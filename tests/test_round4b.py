@@ -200,17 +200,16 @@ def test_pivot_totals_match_lang_counts(ray_session):
 
 def test_catalog_registry_consistency():
     """Every oracle key has a query, no name appears in both registries,
-    and every benched name exists."""
-    import bench as B
-
+    and every query the benchmark's sketch_queries workload runs exists."""
+    from perfbench.workloads import SketchQueries
     from q_digest_ray.pipelines.queries import EXACT_QUERIES, SKETCH_QUERIES
 
     overlap = set(EXACT_QUERIES) & set(SKETCH_QUERIES)
     assert not overlap, overlap
     for name, (fn, sql) in EXACT_QUERIES.items():
         assert callable(fn) and isinstance(sql, str) and sql.strip(), name
-    for name in B.QUERY_NAMES:
-        assert name in EXACT_QUERIES or name in SKETCH_QUERIES, name
+    for name in SketchQueries.MIX:
+        assert name in SKETCH_QUERIES, name
 
 
 def test_event_pair_counts_matches_bruteforce(ray_session, tmp_path):

@@ -120,14 +120,16 @@ def test_cms_inner_product_no_int64_overflow():
 
 
 def test_merge_fold_arrow_native_equivalence(ray_session):
-    """Fold rounds + shuffle groupby produce identical merged sketches
-    after the Arrow-native rewrite (no pandas leg left in the path)."""
+    """The default fold and one driver-side combine over the same rows
+    produce identical merged sketches (Arrow-native, no pandas leg)."""
     import numpy as np
+    import pyarrow as pa
+    import ray
     import ray.data
 
     from q_digest_ray.sketches.base import sketch_from_bytes
     from q_digest_ray.sketches.hll import HyperLogLog
-    from q_digest_ray.stages.merge import merge_grouped
+    from q_digest_ray.stages.merge import combine_sketch_rows, merge_grouped
 
     rows = []
     rng = np.random.default_rng(5)
@@ -144,18 +146,20 @@ def test_merge_fold_arrow_native_equivalence(ray_session):
                 "n": 200,
             }
         )
-    ds = ray.data.from_items(rows).repartition(8)
+    ds = ray.data.from_items(rows).repartition(8).materialize()
     folded = {
-        (r["metric"], r["group_key"]): sketch_from_bytes(r["sketch"], r["payload"])
-        for r in merge_grouped(ds, fold_rounds=1).take_all()
+        (r["metric"], r["group_key"]): (r["n"], sketch_from_bytes(r["sketch"], r["payload"]))
+        for r in merge_grouped(ds).take_all()
     }
-    shuffled = {
-        (r["metric"], r["group_key"]): sketch_from_bytes(r["sketch"], r["payload"])
-        for r in merge_grouped(ds, shuffle=True).take_all()
+    combined = combine_sketch_rows(pa.concat_tables(ray.get(ds.to_arrow_refs())))
+    direct = {
+        (r["metric"], r["group_key"]): (r["n"], sketch_from_bytes(r["sketch"], r["payload"]))
+        for r in combined.to_pylist()
     }
-    assert set(folded) == set(shuffled) and len(folded) == 3
+    assert set(folded) == set(direct) and len(folded) == 3
     for k in folded:
-        assert abs(folded[k].estimate() - shuffled[k].estimate()) < 1e-9
+        assert folded[k][0] == direct[k][0] > 0
+        assert abs(folded[k][1].estimate() - direct[k][1].estimate()) < 1e-9
 
 
 # ---------------------------------------------------------------------------

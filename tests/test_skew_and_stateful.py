@@ -1,15 +1,10 @@
-"""Skew salting (two-level merge == unsalted, exactly) and the stateful
-accumulate-across-batches build path (== stateless within bounds)."""
+"""Skew salting: the two-level merge (salted build, then desalt) matches
+the unsalted build."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
-from q_digest_ray.stages.build import (
-    SketchSpec,
-    build_sketches,
-    build_sketches_stateful,
-)
+from q_digest_ray.stages.build import SketchSpec, build_sketches
 from q_digest_ray.stages.merge import collect_sketches, desalt, merge_grouped
 
 
@@ -49,27 +44,3 @@ def test_salted_equals_unsalted(ray_session):
         for p in (0.5, 0.9, 0.99):
             a, b = salted[key].quantile(p), plain[key].quantile(p)
             assert abs(a - b) <= eps * (1 << 12) * 2 + 1
-
-
-def test_stateful_build_matches_stateless(ray_session):
-    import ray.data
-
-    t = _skewed_table(10_000, seed=9)
-    ds = ray.data.from_arrow(t).repartition(8)
-    specs = [
-        SketchSpec("q", "v", "qdigest", {"k": 128, "universe_bits": 12}),
-        SketchSpec("h", "lang", "hll", {"p": 10}),
-        SketchSpec("g", "v", "qdigest", {"k": 128, "universe_bits": 12}, group_by="lang"),
-    ]
-    stateless = collect_sketches(merge_grouped(build_sketches(ds, specs, batch_size=1024)))
-    stateful = build_sketches_stateful(ds, specs, num_actors=3)
-    assert set(stateful) == set(stateless)
-    for key in stateless:
-        assert stateful[key].n == stateless[key].n
-    # HLL: register-merge is exact → identical estimate either path
-    assert stateful[("h", "")].estimate() == stateless[("h", "")].estimate()
-    sv = np.sort(t["v"].to_numpy())
-    for path in (stateless, stateful):
-        est = path[("q", "")].quantile(0.5)
-        rank = np.searchsorted(sv, est, side="right")
-        assert abs(rank - 0.5 * len(sv)) <= (12 / 128) * len(sv)

@@ -87,3 +87,13 @@ def test_hashing_kind_grouped(ray_session):
     # HLL at p=12 on tiny cardinalities is near-exact
     assert abs(got["a"] - 50) <= 2
     assert abs(got["b"] - 500) <= 15
+
+
+def test_weighted_distinctness_spec_rejected(ray_session):
+    """The UDAF shares the build stage's insert rule, weight guard included:
+    a weight column on a distinctness sketch is a ValueError, not an opaque
+    TypeError from update_hashed."""
+    ds = ray.data.from_items([{"u": i, "w": 2} for i in range(20)])
+    spec = SketchSpec("u_hll", "u", "hll", {"p": 10}, weight_column="w")
+    with pytest.raises(ValueError, match="distinctness"):
+        ds.aggregate(sketch_aggregate(spec))
