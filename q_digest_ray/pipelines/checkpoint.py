@@ -167,6 +167,7 @@ def resumable_sketch_build(
     import ray.data
 
     from q_digest_ray.pipelines.flagship import cc_pages_specs, finalize
+    from q_digest_ray.sources.tables import cluster_cpus, derive_num_blocks
     from q_digest_ray.stages.build import SketchBuilder
     from q_digest_ray.stages.extract import extract_and_project
     from q_digest_ray.stages.merge import collect_sketches, merge_grouped
@@ -191,6 +192,8 @@ def resumable_sketch_build(
     # directory, or stale part files from a previously larger input would be
     # silently double-counted
     outputs = [_output_path(out_dir, i) for i in range(len(shard_paths))]
-    rows = ray.data.read_parquet(outputs, override_num_blocks=len(outputs))
+    rows = ray.data.read_parquet(
+        outputs, override_num_blocks=derive_num_blocks(outputs, cluster_cpus())
+    )
     result = finalize(collect_sketches(merge_grouped(rows)))
     return result, stats

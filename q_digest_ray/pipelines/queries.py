@@ -2822,15 +2822,13 @@ def token_balanced_shards(
     units = units.sort_values("unit").reset_index(drop=True)
     total = int(units["t"].sum())
     budget = max(1, -(-total // target_shards))  # ceil
-    offsets = dict(
-        zip(
-            units["unit"].astype(np.int64),
-            np.concatenate([[0], np.cumsum(units["t"].to_numpy())[:-1]]).astype(
-                np.int64
-            ),
-        )
+    # sorted unit ids + each unit's exclusive token offset, looked up with
+    # searchsorted (every pass-2 unit is one of pass 1's)
+    unit_ids = units["unit"].to_numpy(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(units["t"].to_numpy())[:-1]]).astype(
+        np.int64
     )
-    oref = ray.put(offsets)
+    oref = ray.put((unit_ids, offsets))
 
     def assign(batch: pa.Table) -> pa.Table:
         did = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2848,7 +2846,8 @@ def token_balanced_shards(
         )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        offs = ray.get(oref)  # zero-copy local get, per-task (no actor pool)
+        # zero-copy local get, per-task (no actor pool)
+        unit_ids, offs = ray.get(oref)
         g = g.sort_values(["unit", "doc_id"])
         t = g["t"].to_numpy(np.int64)
         cum = np.cumsum(t)
@@ -2859,7 +2858,7 @@ def token_balanced_shards(
         base = np.repeat(cum[first] - t[first], np.diff(
             np.append(np.flatnonzero(first), len(g))
         ))
-        ex = cum - t - base + np.array([offs[u] for u in unit], dtype=np.int64)
+        ex = cum - t - base + offs[np.searchsorted(unit_ids, unit)]
         shard = ex // budget
         df = pd.DataFrame(
             {"shard": shard, "t": t, "doc_id": g["doc_id"].to_numpy(np.int64)}

@@ -153,16 +153,19 @@ def synthesize(
 def read_cc_pages(dir_path: str, columns: list[str] | None = None):
     import ray.data
 
+    from q_digest_ray.sources.tables import cluster_cpus, derive_num_blocks
+
     paths = sorted(
         os.path.join(dir_path, f)
         for f in os.listdir(dir_path)
         if f.endswith(".parquet")
     )
-    # one block per shard: Ray's dynamic SplitBlocks re-serializes the heavy
-    # binary column repeatedly (measured 7-10x slower on this table); shards
-    # are already sized for parallelism (~16-30 MB each).  At production
-    # scale shards would be 128-256 MB and the same 1-block-per-file rule
-    # holds.
+    # whole shards packed by the one read-plan rule: never split below 8 MB
+    # (Ray's dynamic SplitBlocks re-serializes the heavy binary column,
+    # measured 7-10x slower on this table), never more tasks than files or
+    # cluster CPUs
     return ray.data.read_parquet(
-        paths, columns=columns, override_num_blocks=len(paths)
+        paths,
+        columns=columns,
+        override_num_blocks=derive_num_blocks(paths, cluster_cpus()),
     )

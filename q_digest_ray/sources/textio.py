@@ -8,10 +8,11 @@ that leg the same ergonomics as ``sources/tables.read_table``:
 
 - shard-dir OR single-file inputs (``resolve_shards``), sorted for
   deterministic block order;
-- ``override_num_blocks`` derived from SUMMED shard sizes with a
-  one-block-per-shard floor (the BASELINE.md §4 SplitBlocks rule) — row
-  formats decompress ~3-5x bigger than parquet, so the per-block byte
-  target is smaller;
+- the read-task count from the one read-plan rule,
+  ``sources.tables.derive_num_blocks``: split by SUMMED shard bytes, pack
+  small whole shards into at most one task per cluster CPU — row formats
+  decompress ~3-5x bigger than parquet, so the per-block byte target is
+  smaller;
 - ``columns=`` pruning applied right after parse.  Unlike parquet this
   CANNOT skip bytes at the read (row formats have no column chunks) —
   the reader documents that honestly; convert to parquet once
@@ -28,6 +29,10 @@ import os
 
 import ray.data
 
+from q_digest_ray.sources.tables import cluster_cpus, derive_num_blocks
+
+ROW_BYTES_PER_BLOCK = 2 << 20
+
 
 def resolve_shards(path: str, exts: tuple[str, ...]) -> list[str]:
     """``path`` is one shard file or a directory of them; sorted list."""
@@ -40,11 +45,6 @@ def resolve_shards(path: str, exts: tuple[str, ...]) -> list[str]:
         if shards:
             return sorted(shards)
     raise FileNotFoundError(f"no {'/'.join(exts)} shards at {path!r}")
-
-
-def _derive_blocks(paths: list[str], bytes_per_block: int) -> int:
-    size = sum(os.path.getsize(p) for p in paths)
-    return max(len(paths), max(1, min(64, size // bytes_per_block)))
 
 
 def read_jsonl(
@@ -61,7 +61,8 @@ def read_jsonl(
     paths = resolve_shards(path, (".jsonl", ".jsonl.gz"))
     ds = ray.data.read_json(
         paths,
-        override_num_blocks=override_num_blocks or _derive_blocks(paths, 2 << 20),
+        override_num_blocks=override_num_blocks
+        or derive_num_blocks(paths, cluster_cpus(), ROW_BYTES_PER_BLOCK),
     )
     return ds.select_columns(columns) if columns else ds
 
@@ -75,7 +76,8 @@ def read_csv_table(
     paths = resolve_shards(path, (".csv", ".csv.gz"))
     ds = ray.data.read_csv(
         paths,
-        override_num_blocks=override_num_blocks or _derive_blocks(paths, 2 << 20),
+        override_num_blocks=override_num_blocks
+        or derive_num_blocks(paths, cluster_cpus(), ROW_BYTES_PER_BLOCK),
     )
     return ds.select_columns(columns) if columns else ds
 

@@ -39,17 +39,16 @@ def combine_sketch_rows(batch: pa.Table) -> pa.Table:
     """Partial (combiner) merge of sketch rows within one block.
 
     Arrow-native grouping: dictionary-encode the key triple into one int
-    code, argsort, walk group boundaries — binary payloads are only pulled
-    out of Arrow for the groups that actually merge (>1 row), instead of
-    the r1 ``to_pandas`` which copied every payload into object dtype."""
+    code, argsort, walk group boundaries.  Chunks are combined and the
+    ``sketch``/``payload`` columns pulled into Python once per call: a
+    per-group ``take`` on the chunked columns made the call ~6x slower on
+    2.7k partials in 12 chunks."""
     if batch.num_rows <= 1:
         return batch
+    batch = batch.combine_chunks()
     comp = np.zeros(batch.num_rows, dtype=np.int64)
     for name in ("metric", "sketch", "group_key"):
-        col = batch[name]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        d = col.dictionary_encode()
+        d = batch[name].chunk(0).dictionary_encode()
         comp = comp * np.int64(len(d.dictionary) + 1) + d.indices.to_numpy(
             zero_copy_only=False
         ).astype(np.int64)
@@ -61,27 +60,21 @@ def combine_sketch_rows(batch: pa.Table) -> pa.Table:
     if len(starts) == batch.num_rows:
         return batch  # every row its own group — nothing to merge
     ends = np.append(starts[1:], len(order))
-    n_sorted = batch["n"].to_numpy(zero_copy_only=False)[order]
-    n_sums = np.add.reduceat(n_sorted, starts)
+    n_sums = np.add.reduceat(batch["n"].to_numpy()[order], starts)
     reps = order[starts]
-    merged: list[bytes | None] = []
-    for s, e in zip(starts, ends):
-        if e - s == 1:
-            merged.append(None)  # singleton: keep the rep row's payload
-        else:
-            idxs = pa.array(order[s:e], type=pa.int64())
-            kind = batch["sketch"].take(idxs)[0].as_py()
-            merged.append(
-                _merge_payload_group(kind, batch["payload"].take(idxs).to_pylist())
-            )
+    kinds = batch["sketch"].to_pylist()
+    payloads = batch["payload"].to_pylist()
+    merged = [
+        payloads[r]
+        if e - s == 1
+        else _merge_payload_group(kinds[r], [payloads[i] for i in order[s:e]])
+        for s, e, r in zip(starts, ends, reps)
+    ]
     rep_tbl = batch.take(pa.array(reps, type=pa.int64()))
-    base = rep_tbl["payload"].to_pylist()
-    payload = pa.array(
-        [b if m is None else m for b, m in zip(base, merged)],
-        type=batch.schema.field("payload").type,
-    )
     rep_tbl = rep_tbl.set_column(
-        rep_tbl.schema.get_field_index("payload"), "payload", payload
+        rep_tbl.schema.get_field_index("payload"),
+        "payload",
+        pa.array(merged, type=batch.schema.field("payload").type),
     )
     return rep_tbl.set_column(
         rep_tbl.schema.get_field_index("n"),

@@ -103,11 +103,8 @@ def pool_limits(cap: int | None = None) -> tuple[int, int]:
     backpressure, so an over-wide upper bound costs nothing when upstream
     is the bottleneck.
     """
-    try:
-        import ray
+    from q_digest_ray.sources.tables import cluster_cpus
 
-        cpus = int(ray.cluster_resources().get("CPU", 0)) or 4
-    except Exception:
-        cpus = 4
+    cpus = cluster_cpus() or 4
     hi = max(2, cpus if cap is None else min(cpus, cap))
     return (1, hi)

@@ -307,6 +307,37 @@ def test_combine_sketch_rows_all_singletons_passthrough():
     assert out.num_rows == 5
 
 
+def test_combine_sketch_rows_chunked_equals_combined():
+    """A multi-chunk table (one chunk per block, as a fold task sees it)
+    combines to the same rows as its combine_chunks()."""
+    from q_digest_ray.sketches.hll import HyperLogLog as HLL
+    from q_digest_ray.sketches.qdigest import QDigest
+    from q_digest_ray.stages.merge import combine_sketch_rows
+
+    rng = np.random.default_rng(11)
+    chunks = []
+    for block in range(4):
+        rows = []
+        for key in ("a", "b", "c", "d"):
+            if key == "d" and block:
+                continue  # "d" stays a singleton group
+            vals = rng.integers(0, 1000, 40)
+            q = QDigest(k=16, universe_bits=10)
+            q.update_batch(vals)
+            h = HLL(p=8)
+            h.update_batch(vals.astype(np.uint64))
+            for metric, kind, sk in (("q", "qdigest", q), ("h", "hll", h)):
+                rows.append(
+                    {"metric": metric, "sketch": kind, "group_key": key, "payload": sk.to_bytes(), "n": 40}
+                )
+        chunks.append(pa.Table.from_pylist(rows))
+    chunked = pa.concat_tables(chunks)
+    assert chunked["payload"].num_chunks == 4
+    out = combine_sketch_rows(chunked)
+    assert out.num_rows == 8
+    assert out.equals(combine_sketch_rows(chunked.combine_chunks()))
+
+
 def test_merge_grouped_auto_fold_matches_explicit(ray_session, monkeypatch):
     import ray.data
 

@@ -52,23 +52,85 @@ def test_resolve_missing_raises(tmp_path):
 
 
 def test_derive_num_blocks_sums_shards(tmp_path):
-    # 3 shards of 5 MB each -> 15 MB total -> size rule says 1 (15//8=1)
-    # but the per-shard floor lifts it to 3 (one block per file, no
+    # 3 shards of 5 MB each -> 15 MB total -> size rule says 1 (15//8=1);
+    # with cpus >= files every shard keeps its own task (never split, so no
     # SplitBlocks re-serialization)
     paths = []
     for i in range(3):
         p = tmp_path / f"part-{i}.parquet"
         p.write_bytes(b"\0" * (5 << 20))
         paths.append(str(p))
-    assert derive_num_blocks(paths) == 3
-    # one 100 MB file -> 12 blocks (100//8), clamped inside [1, 64]
+    assert derive_num_blocks(paths, 4) == 3
+    assert derive_num_blocks(paths, None) == 3  # no Ray session: one per file
+    # one CPU: the three whole shards pack into the size rule's one task
+    assert derive_num_blocks(paths, 1) == 1
+    # one 100 MB file -> 12 blocks (100//8), clamped inside [1, 64], however
+    # few CPUs the cluster has
     big = tmp_path / "big.parquet"
     big.write_bytes(b"\0" * (100 << 20))
-    assert derive_num_blocks([str(big)]) == 12
+    assert derive_num_blocks([str(big)], 4) == 12
+    assert derive_num_blocks([str(big)], 1) == 12
     # tiny single file -> 1
     small = tmp_path / "small.parquet"
     small.write_bytes(b"\0" * 1024)
-    assert derive_num_blocks([str(small)]) == 1
+    assert derive_num_blocks([str(small)], 4) == 1
+    # 12 tiny files: at most one task per CPU, never more than files
+    tiny = []
+    for i in range(12):
+        p = tmp_path / f"tiny-{i}.parquet"
+        p.write_bytes(b"\0" * 1024)
+        tiny.append(str(p))
+    assert derive_num_blocks(tiny, 1) == 1
+    assert derive_num_blocks(tiny, 4) == 4
+    assert derive_num_blocks(tiny, 64) == 12
+    assert derive_num_blocks(tiny, None) == 12
+    # the row-format byte target splits sooner
+    assert derive_num_blocks(paths, 1, bytes_per_block=2 << 20) == 7
+
+
+def test_packed_cc_pages_read_matches_one_task_per_file(ray_session, tmp_path, monkeypatch):
+    """12 tiny shards read as 1 packed task or as 12 tasks build the same
+    merged sketches: same groups, per-group n, quantiles and estimates."""
+    import ray.data
+
+    from q_digest_ray.sketches.base import sketch_from_bytes
+    from q_digest_ray.sources import cc_pages, tables
+    from q_digest_ray.stages.build import SketchSpec, build_sketches
+    from q_digest_ray.stages.extract import extract_and_project
+    from q_digest_ray.stages.merge import merge_grouped
+
+    d = cc_pages.synthesize(str(tmp_path / "cc"), total_rows=240, shards=12, seed=3)
+    specs = [
+        SketchSpec("len", "text_len", "qdigest", {"k": 32, "universe_bits": 17}, group_by="url_host"),
+        SketchSpec("urls", "url", "hll", {"p": 11}, group_by="url_host"),
+    ]
+
+    read_parquet, planned = ray.data.read_parquet, []
+
+    def spy(paths, **kw):
+        planned.append(kw["override_num_blocks"])
+        return read_parquet(paths, **kw)
+
+    monkeypatch.setattr(ray.data, "read_parquet", spy)
+
+    def merged(cpus: int) -> dict:
+        monkeypatch.setattr(tables, "cluster_cpus", lambda: cpus)
+        ds = cc_pages.read_cc_pages(d, columns=["url", "text", "lang"])
+        assert planned.pop() == min(cpus, 12)
+        ds = ds.map_batches(extract_and_project, batch_format="pyarrow")
+        out = {}
+        for r in merge_grouped(build_sketches(ds, specs)).take_all():
+            sk = sketch_from_bytes(r["sketch"], r["payload"])
+            est = (
+                [sk.quantile(p) for p in (0.1, 0.5, 0.9)]
+                if r["sketch"] == "qdigest"
+                else sk.estimate()
+            )
+            out[(r["metric"], r["group_key"])] = (r["n"], est)
+        return out
+
+    packed, per_file = merged(1), merged(64)
+    assert len(packed) > 2 and packed == per_file
 
 
 def test_read_table_sharded_equals_single(ray_session, sf_dir, sharded_dir):
