@@ -3,31 +3,40 @@
 A from-scratch re-expression of the capabilities of the reference Q-Digest
 repo (C/MPI quantile sketch; see /root/reference) as an idiomatic Ray Data
 library: sketches are commutative/associative per-partition UDAFs updated via
-``Dataset.map_batches`` over zero-copy Arrow batches and merged through
-``groupby().map_groups`` shuffles or log-depth folds.
+``Dataset.map_batches`` over zero-copy Arrow batches and merged by a
+``map_batches`` combiner plus a coalescing log-depth fold
+(``stages/merge.merge_grouped``).
 
 Nothing in this package calls ``ray.init()`` — sessions are owned by the
 driver / bench / test harness (see ``__ray_entry__.py`` contract).
 """
 
-from q_digest_ray.sketches.qdigest import QDigest
-from q_digest_ray.sketches.hll import HyperLogLog
-from q_digest_ray.sketches.cms import CountMinSketch
-from q_digest_ray.sketches.bloom import BloomFilter
-from q_digest_ray.sketches.tdigest import TDigest
-from q_digest_ray.sketches.kll import KLL
-from q_digest_ray.sketches.kmv import KMV
-from q_digest_ray.sketches.misra_gries import MisraGries
-from q_digest_ray.sketches.sample import SampleSketch
+from q_digest_ray.sketches import (
+    KLL,
+    KMV,
+    BloomFilter,
+    CountMinSketch,
+    CountSketch,
+    DDSketch,
+    FrequentDirections,
+    HyperLogLog,
+    MisraGries,
+    QDigest,
+    SampleSketch,
+    TDigest,
+)
 
 __all__ = [
     "QDigest",
     "HyperLogLog",
     "CountMinSketch",
+    "CountSketch",
     "BloomFilter",
     "TDigest",
     "KLL",
+    "DDSketch",
     "KMV",
     "MisraGries",
     "SampleSketch",
+    "FrequentDirections",
 ]

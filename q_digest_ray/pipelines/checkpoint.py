@@ -115,7 +115,6 @@ def process_shards(
     shard_fn: Callable[[pa.Table], pa.Table],
     columns: list[str] | None = None,
     resume: bool = True,
-    concurrency=None,
 ) -> dict:
     """Run shard_fn over every input shard, skipping finished ones.
 
@@ -134,9 +133,7 @@ def process_shards(
     if pending:
         ds = ray.data.from_items(pending).repartition(len(pending))
         worker = _ShardWorker(out_dir, shard_fn, columns)
-        ds.map_batches(
-            worker, batch_format="pyarrow", batch_size=1, concurrency=concurrency
-        ).materialize()
+        ds.map_batches(worker, batch_format="pyarrow", batch_size=1).materialize()
     return {"processed": len(pending), "skipped": skipped, "total": len(shard_paths)}
 
 

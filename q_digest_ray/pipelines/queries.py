@@ -32,11 +32,12 @@ import pyarrow.compute as pc
 import ray
 
 from q_digest_ray.functions.hashing import hash64
+from q_digest_ray.sketches.qdigest import QDigest
 from q_digest_ray.sources.tables import read_table, read_table_arrow
 from q_digest_ray.stages.agg import two_phase
 from q_digest_ray.stages.build import SketchSpec, build_sketches
 from q_digest_ray.stages.merge import collect_sketches, merge_grouped
-from q_digest_ray.stages.partitioning import derive_buckets, pool_limits
+from q_digest_ray.stages.partitioning import derive_buckets
 
 # ---------------------------------------------------------------------------
 # exact queries
@@ -528,7 +529,6 @@ def order_revenue_by_nation(sf_dir: str):
         )
 
     ds = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    partials = ds.map_batches(join_agg, batch_format="pyarrow")
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(s=df["s"].astype(object))  # overflow-proof cents
@@ -541,11 +541,7 @@ def order_revenue_by_nation(sf_dir: str):
             }
         )
 
-    out = (
-        partials.repartition(1)
-        .map_batches(final, batch_format="pandas", batch_size=None)
-        .to_pandas()
-    )
+    out = two_phase(ds, join_agg, final, batch_size=None).to_pandas()
     return out.sort_values("n_name").reset_index(drop=True)
 
 
@@ -5493,25 +5489,49 @@ def sk_kmv_user_overlap(sf_dir: str):
     return pd.DataFrame(out, columns=["stat", "value"])
 
 
-def sk_qdigest_value_by_hour(sf_dir: str):
-    """Windowed sketch: per-hour Q-Digest of event values (sketches keyed by
-    an event-time window — the streaming-shaped sketch pattern; values
-    sketched in cents so the integer-universe Q-Digest applies)."""
+def _cents(value: pa.ChunkedArray) -> pa.Array:
+    """Event ``value`` in integer cents: the integer universe the Q-Digest
+    (and every cents-denominated sketch query) works in."""
+    return pc.cast(pc.round(pc.multiply(value, pa.scalar(100.0))), pa.int64())
+
+
+_HOURLY_QDIGEST = {"k": 64, "universe_bits": 16}
+
+
+def _hourly_value_qdigests(sf_dir: str) -> dict:
+    """{"YYYY-MM-DD HH:00": Q-Digest of that hour's event values in cents}
+    from one pass over ``events`` — the tumbling-window build every hourly
+    sketch query shares."""
     ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     def add_cols(batch: pa.Table) -> pa.Table:
         win = pc.strftime(pc.floor_temporal(batch["ts"], unit="hour"), "%Y-%m-%d %H:00")
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], pa.scalar(100.0))), pa.int64())
-        return pa.table({"window": win, "value_cents": cents})
+        return pa.table({"window": win, "value_cents": _cents(batch["value"])})
 
     rows = build_sketches(
         ds.map_batches(add_cols, batch_format="pyarrow"),
-        [SketchSpec("value_cents_by_hour", "value_cents", "qdigest", {"k": 64, "universe_bits": 16}, group_by="window")],
+        [SketchSpec("value_cents_by_hour", "value_cents", "qdigest", _HOURLY_QDIGEST, group_by="window")],
     )
-    sketches = collect_sketches(merge_grouped(rows))
-    out = []
-    for (metric, win), sk in sorted(sketches.items()):
-        out.append((win, sk.quantile(0.5), sk.quantile(0.9), sk.n))
+    return {win: sk for (_, win), sk in collect_sketches(merge_grouped(rows)).items()}
+
+
+def _merged_qdigest(members) -> QDigest:
+    """Merge ``members`` (in the given order) into a FRESH sketch: merge()
+    mutates self, and the members stay queryable for their own rows."""
+    acc = QDigest(**_HOURLY_QDIGEST)
+    for m in members:
+        acc.merge(m)
+    return acc
+
+
+def sk_qdigest_value_by_hour(sf_dir: str):
+    """Windowed sketch: per-hour Q-Digest of event values (sketches keyed by
+    an event-time window — the streaming-shaped sketch pattern; values
+    sketched in cents so the integer-universe Q-Digest applies)."""
+    out = [
+        (win, sk.quantile(0.5), sk.quantile(0.9), sk.n)
+        for win, sk in sorted(_hourly_value_qdigests(sf_dir).items())
+    ]
     return pd.DataFrame(out, columns=["window", "p50_cents", "p90_cents", "n"])
 
 
@@ -5528,31 +5548,7 @@ def sk_window_rollup(sf_dir: str):
     corpus per rollup level.  Counts are exact through every merge
     (sum-preserving), so ``n`` reconciles level-to-level by construction —
     asserted in tests along with the rank-error bound at each level."""
-    from q_digest_ray.sketches.qdigest import QDigest
-
-    ds = read_table(sf_dir, "events", columns=["ts", "value"])
-
-    def add_cols(batch: pa.Table) -> pa.Table:
-        win = pc.strftime(pc.floor_temporal(batch["ts"], unit="hour"), "%Y-%m-%d %H:00")
-        cents = pc.cast(pc.round(pc.multiply(batch["value"], pa.scalar(100.0))), pa.int64())
-        return pa.table({"window": win, "value_cents": cents})
-
-    rows = build_sketches(
-        ds.map_batches(add_cols, batch_format="pyarrow"),
-        [SketchSpec("rollup_cents", "value_cents", "qdigest", {"k": 64, "universe_bits": 16}, group_by="window")],
-    )
-    hours = {
-        win: sk for (_, win), sk in collect_sketches(merge_grouped(rows)).items()
-    }
-
-    def fold(members: list) -> "QDigest":
-        # merge() mutates self: fold into a FRESH sketch so the hour
-        # sketches stay queryable for their own output rows
-        acc = QDigest(k=64, universe_bits=16)
-        for m in members:
-            acc.merge(m)
-        return acc
-
+    hours = _hourly_value_qdigests(sf_dir)
     days: dict[str, list] = {}
     for win in sorted(hours):  # sorted: deterministic merge order
         days.setdefault(win[:10], []).append(hours[win])
@@ -5560,12 +5556,12 @@ def sk_window_rollup(sf_dir: str):
         ("hour", win, sk.quantile(0.5), sk.quantile(0.9), sk.n)
         for win, sk in sorted(hours.items())
     ]
-    day_sketches = {day: fold(members) for day, members in sorted(days.items())}
+    day_sketches = {day: _merged_qdigest(members) for day, members in sorted(days.items())}
     out += [
         ("day", day, sk.quantile(0.5), sk.quantile(0.9), sk.n)
         for day, sk in sorted(day_sketches.items())
     ]
-    total = fold([day_sketches[d] for d in sorted(day_sketches)])
+    total = _merged_qdigest(day_sketches[d] for d in sorted(day_sketches))
     out.append(("all", "", total.quantile(0.5), total.quantile(0.9), total.n))
     return pd.DataFrame(
         out, columns=["level", "window", "p50_cents", "p90_cents", "n"]
@@ -5584,44 +5580,12 @@ def sk_sliding_quantiles(sf_dir: str, window_hours: int = 3):
     LAST hour and only complete windows are emitted; windows slide over
     the OBSERVED hour sequence (an hour with zero events contributes no
     row — sparse-hour semantics)."""
-    from q_digest_ray.sketches.qdigest import QDigest
-
-    ds = read_table(sf_dir, "events", columns=["ts", "value"])
-
-    def add_cols(batch: pa.Table) -> pa.Table:
-        win = pc.strftime(
-            pc.floor_temporal(batch["ts"], unit="hour"), "%Y-%m-%d %H:00"
-        )
-        cents = pc.cast(
-            pc.round(pc.multiply(batch["value"], pa.scalar(100.0))), pa.int64()
-        )
-        return pa.table({"window": win, "value_cents": cents})
-
-    rows = build_sketches(
-        ds.map_batches(add_cols, batch_format="pyarrow"),
-        [
-            SketchSpec(
-                "slide_cents",
-                "value_cents",
-                "qdigest",
-                {"k": 64, "universe_bits": 16},
-                group_by="window",
-            )
-        ],
-    )
-    hours = {
-        win: sk for (_, win), sk in collect_sketches(merge_grouped(rows)).items()
-    }
+    hours = _hourly_value_qdigests(sf_dir)
     keys = sorted(hours)
     out = []
     for i in range(window_hours - 1, len(keys)):
-        member_keys = keys[i - window_hours + 1 : i + 1]
-        acc = QDigest(k=64, universe_bits=16)
-        for k in member_keys:
-            acc.merge(hours[k])
-        out.append(
-            (keys[i], acc.quantile(0.5), acc.quantile(0.9), acc.n)
-        )
+        acc = _merged_qdigest(hours[k] for k in keys[i - window_hours + 1 : i + 1])
+        out.append((keys[i], acc.quantile(0.5), acc.quantile(0.9), acc.n))
     return pd.DataFrame(
         out, columns=["window_end", "p50_cents", "p90_cents", "n"]
     )
@@ -5641,7 +5605,6 @@ def sk_incremental_build(sf_dir: str):
     split by day-of-month (base ≤ 15 < delta) — a deterministic stand-in
     for the date-partitioned ingest directory."""
     from q_digest_ray.sketches.hll import HyperLogLog
-    from q_digest_ray.sketches.qdigest import QDigest
 
     ds = read_table(sf_dir, "events", columns=["ts", "user_id", "value"])
     specs = [
@@ -5659,11 +5622,8 @@ def sk_incremental_build(sf_dir: str):
             )
             if which != "full":
                 batch = batch.filter(mask)
-            cents = pc.cast(
-                pc.round(pc.multiply(batch["value"], pa.scalar(100.0))), pa.int64()
-            )
             return pa.table(
-                {"value_cents": cents, "user_id": batch["user_id"]}
+                {"value_cents": _cents(batch["value"]), "user_id": batch["user_id"]}
             )
 
         return fn
@@ -5749,13 +5709,10 @@ def sk_drift_monitor(sf_dir: str):
             pa.scalar("A"),
             pa.scalar("B"),
         )
-        cents = pc.cast(
-            pc.round(pc.multiply(batch["value"], pa.scalar(100.0))), pa.int64()
-        )
         return pa.table(
             {
                 "half": half,
-                "value_cents": cents,
+                "value_cents": _cents(batch["value"]),
                 "user_id": batch["user_id"],
                 "event_type": batch["event_type"],
             }
@@ -5839,7 +5796,6 @@ def customer_nation_revenue(sf_dir: str, num_buckets: int | None = None):
     driver-materialized — the shuffle moves each row once into hash
     buckets, B size-derived), then a two-phase per-nation aggregate over
     the joined rows."""
-    from q_digest_ray.stages.agg import two_phase_pandas
     from q_digest_ray.stages.join import bucketed_join
 
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
@@ -5853,7 +5809,8 @@ def customer_nation_revenue(sf_dir: str, num_buckets: int | None = None):
 
     from q_digest_ray.functions.fixedpoint import scaled_int64
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def partial(batch: pa.Table) -> pd.DataFrame:
+        df = batch.to_pandas()
         df = df.assign(p100=scaled_int64(df["o_totalprice"].to_numpy(), 2))
         return df.groupby("c_nationkey", as_index=False).agg(
             p100=("p100", "sum"), n_orders=("p100", "size")
@@ -5870,7 +5827,7 @@ def customer_nation_revenue(sf_dir: str, num_buckets: int | None = None):
         g["c_nationkey"] = g["c_nationkey"].astype("int64")
         return g[["c_nationkey", "revenue", "n_orders"]]
 
-    df = two_phase_pandas(joined, partial, final, batch_size=None).to_pandas()
+    df = two_phase(joined, partial, final, batch_size=None).to_pandas()
     return df.sort_values("c_nationkey").reset_index(drop=True)
 
 
@@ -6453,10 +6410,7 @@ def sk_robust_outliers(sf_dir: str, k_mad: float = 3.0):
     ds = read_table(sf_dir, "events", columns=["value"])
 
     def to_cents(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(batch["value"], pa.scalar(100.0))), pa.int64()
-        )
-        return pa.table({"cents": cents})
+        return pa.table({"cents": _cents(batch["value"])})
 
     cents_ds = ds.map_batches(to_cents, batch_format="pyarrow", batch_size=None)
     rows = build_sketches(
@@ -6807,7 +6761,7 @@ def audio_fingerprint_dups(sf_dir: str, n_media: int = 1000):
     """AUDIO near-dup detection through the REAL stdlib-WAV DSP kernel
     (the acoustic-fingerprint shape): per-id WAV sines synthesized
     in-pipeline (freq = 100 + (id % 20)*50 — 20 planted frequency
-    families), featurized by the AudioFeatureStage actor pool, and
+    families), featurized by AudioFeatureStage tasks, and
     fingerprinted by the SPECTRAL CENTROID quantized to the 50 Hz grid.
 
     The family-purity check is itself distributed and exact: each partial
@@ -6818,17 +6772,11 @@ def audio_fingerprint_dups(sf_dir: str, n_media: int = 1000):
     import ray.data
 
     from q_digest_ray.stages.multimodal import AudioFeatureStage, synth_media_batch
-    from q_digest_ray.stages.partitioning import pool_limits
 
     ds = ray.data.range(n_media, override_num_blocks=8).map_batches(
         lambda b: synth_media_batch(b, seed=7), batch_format="pyarrow"
     )
-    feats = ds.map_batches(
-        AudioFeatureStage,
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=pool_limits(),
-    )
+    feats = ds.map_batches(AudioFeatureStage(), batch_format="pyarrow", batch_size=256)
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         lst = batch["features"].combine_chunks()
@@ -6993,7 +6941,7 @@ def media_features(sf_dir: str, n_media: int = 1000):
     + full-feature ``to_pandas``): synthesis runs inside ``map_batches``
     over ``ray.data.range`` (per-media_id seeded, block-layout invariant;
     audio rows are REAL WAV sines so the stdlib-DSP kernel runs
-    distributed) → image + audio actor-pool feature stages → per-batch
+    distributed) → image + audio feature stages (tasks) → per-batch
     PARTIAL (n, sum_norm) rows → driver folds ~2 x num_batches scalars.
     The driver never holds a feature matrix, so the shape survives any
     corpus size.  Input-independent (the driver tables carry no media
@@ -7049,7 +6997,7 @@ def media_features(sf_dir: str, n_media: int = 1000):
     parts = None
     for tag, stage in stages:
         branch = ds.map_batches(
-            stage, batch_format="pyarrow", batch_size=256, concurrency=pool_limits()
+            stage(), batch_format="pyarrow", batch_size=256
         ).map_batches(
             norm_partial(tag, stage.FEATURE_DIM),
             batch_format="pyarrow",
@@ -7309,7 +7257,8 @@ def shipping_priority(sf_dir: str, num_buckets: int | None = None):
         orders_bld, li_f, on="o_orderkey", right_on="l_orderkey", num_buckets=B
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def partial(batch: pa.Table) -> pd.DataFrame:
+        df = batch.to_pandas()
         if df.empty:
             return pd.DataFrame(
                 columns=["l_orderkey", "revenue", "o_orderdate", "o_orderpriority"]
@@ -7332,9 +7281,7 @@ def shipping_priority(sf_dir: str, num_buckets: int | None = None):
             ["revenue", "o_orderdate", "l_orderkey"], ascending=[False, True, True]
         ).head(10)
 
-    from q_digest_ray.stages.agg import two_phase_pandas
-
-    out = two_phase_pandas(joined, partial, final, batch_size=None).to_pandas()
+    out = two_phase(joined, partial, final, batch_size=None).to_pandas()
     if out.empty:
         return pd.DataFrame(
             {

@@ -9,14 +9,14 @@ import math
 import struct
 
 import numpy as np
-import pyarrow as pa
 
-from q_digest_ray.functions.hashing import hash64, splitmix64
-from q_digest_ray.sketches.base import Sketch, register
+from q_digest_ray.functions.hashing import hash64
+from q_digest_ray.sketches.base import HashedSketch, probe_positions, register
 
 
-class BloomFilter(Sketch):
+class BloomFilter(HashedSketch):
     kind = "bloom"
+    weighted = False
 
     __slots__ = ("num_bits", "num_hashes", "bits", "_n")
 
@@ -37,28 +37,19 @@ class BloomFilter(Sketch):
     def n(self) -> int:
         return self._n
 
-    def _bit_positions(self, h: np.ndarray) -> np.ndarray:
-        h2 = splitmix64(h) | np.uint64(1)
-        j = np.arange(self.num_hashes, dtype=np.uint64)[:, None]
-        return ((h[None, :] + j * h2[None, :]) % np.uint64(self.num_bits)).astype(np.int64)
-
-    def update_batch(self, values, weights=None) -> None:
-        h = hash64(values if isinstance(values, (pa.Array, pa.ChunkedArray)) else np.asarray(values))
-        self.update_hashed(h)
-
-    def update_hashed(self, h: np.ndarray) -> None:
+    def update_hashed(self, h: np.ndarray, weights=None) -> None:
         if h.size == 0:
             return
-        pos = self._bit_positions(h).ravel()
+        pos = probe_positions(h, self.num_hashes, self.num_bits).ravel()
         np.bitwise_or.at(self.bits, pos >> 3, np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8)))
         self._n += int(h.size)
 
     def contains(self, values) -> np.ndarray:
         """Vectorized membership probe → bool array."""
-        h = hash64(values if isinstance(values, (pa.Array, pa.ChunkedArray)) else np.asarray(values))
+        h = hash64(values)
         if h.size == 0:
             return np.zeros(0, dtype=bool)
-        pos = self._bit_positions(h)  # (k, n)
+        pos = probe_positions(h, self.num_hashes, self.num_bits)  # (k, n)
         byte = self.bits[pos >> 3]
         mask = np.left_shift(np.uint8(1), (pos & 7).astype(np.uint8))
         return ((byte & mask) != 0).all(axis=0)

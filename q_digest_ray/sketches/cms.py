@@ -1,7 +1,8 @@
 """Count-Min sketch (Cormode & Muthukrishnan 2005, public algorithm).
 
-uint64[depth x width] counter matrix; update adds weights at d hashed cells
-(double hashing h1 + j*h2); point query = min over rows (overcount <= eps*n
+int64[depth x width] counter matrix (``base.CounterTable``, shared with
+Count-Sketch); update adds weights at d hashed cells (double hashing
+h1 + j*h2, ``base.probe_positions``); point query = min over rows (overcount <= eps*n
 with eps = e/width, prob 1 - delta, delta = e**-depth).  Merge = elementwise
 add — commutative/associative exactly.
 
@@ -12,25 +13,20 @@ per-batch top keys), since the CMS answers point queries, not enumeration.
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
-import pyarrow as pa
 
-from q_digest_ray.functions.hashing import hash64, splitmix64
-from q_digest_ray.sketches.base import Sketch, register
+from q_digest_ray.functions.hashing import hash64
+from q_digest_ray.sketches.base import CounterTable, probe_positions, register
 
 
-class CountMinSketch(Sketch):
+class CountMinSketch(CounterTable):
     kind = "cms"
 
-    __slots__ = ("depth", "width", "table", "_n")
+    __slots__ = ()
 
     def __init__(self, depth: int = 5, width: int = 4096):
-        self.depth = int(depth)
-        self.width = int(width)
-        self.table = np.zeros((self.depth, self.width), dtype=np.int64)
-        self._n = 0
+        super().__init__(depth, width)
 
     @classmethod
     def from_error(cls, eps: float, delta: float) -> "CountMinSketch":
@@ -40,22 +36,8 @@ class CountMinSketch(Sketch):
         )
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
     def eps(self) -> float:
         return math.e / self.width
-
-    def _cells(self, h: np.ndarray) -> np.ndarray:
-        """(depth, n) column indices from base hashes via double hashing."""
-        h2 = splitmix64(h) | np.uint64(1)
-        j = np.arange(self.depth, dtype=np.uint64)[:, None]
-        return ((h[None, :] + j * h2[None, :]) % np.uint64(self.width)).astype(np.int64)
-
-    def update_batch(self, values, weights=None) -> None:
-        h = hash64(values if isinstance(values, (pa.Array, pa.ChunkedArray)) else np.asarray(values))
-        self.update_hashed(h, weights)
 
     def update_hashed(self, h: np.ndarray, weights=None) -> None:
         if h.size == 0:
@@ -68,17 +50,17 @@ class CountMinSketch(Sketch):
         if weights is not None and w.size and w.min() < 0:
             # negative counters would break the one-sided overcount bound
             raise ValueError("weights must be non-negative")
-        cells = self._cells(h)
+        cells = probe_positions(h, self.depth, self.width)
         for d in range(self.depth):
             np.add.at(self.table[d], cells[d], w)
         self._n += int(w.sum())
 
     def query(self, values) -> np.ndarray:
         """Estimated counts for each value (vectorized point queries)."""
-        h = hash64(values if isinstance(values, (pa.Array, pa.ChunkedArray)) else np.asarray(values))
+        h = hash64(values)
         if h.size == 0:
             return np.zeros(0, dtype=np.int64)
-        cells = self._cells(h)
+        cells = probe_positions(h, self.depth, self.width)
         ests = np.stack([self.table[d][cells[d]] for d in range(self.depth)])
         return ests.min(axis=0)
 
@@ -89,8 +71,7 @@ class CountMinSketch(Sketch):
         error ≤ ε·‖a‖₁·‖b‖₁ w.p. 1−δ.  Both sketches must share (depth,
         width) and, because the row hash family here is fixed by the seed,
         they automatically share hash functions as required."""
-        if (other.depth, other.width) != (self.depth, self.width):
-            raise ValueError("cannot inner-product CMS with different shapes")
+        self._check_shape(other, "inner-product")
         # accumulate in unbounded Python ints: per-cell products can reach
         # ~n_a*n_b/width, which overflows int64 (and numpy wraps SILENTLY)
         # for the large-stream scale this docstring targets — same guard
@@ -98,32 +79,6 @@ class CountMinSketch(Sketch):
         a = self.table.astype(object)
         b = other.table.astype(object)
         return int(min((a * b).sum(axis=1)))
-
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        if (other.depth, other.width) != (self.depth, self.width):
-            raise ValueError("cannot merge CMS with different shapes")
-        self.table += other.table
-        self._n += other._n
-        return self
-
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack("<BIIQ", 1, self.depth, self.width, self._n)
-            + self.table.tobytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "CountMinSketch":
-        ver, depth, width, n = struct.unpack_from("<BIIQ", buf, 0)
-        c = cls(depth=depth, width=width)
-        c._n = n
-        c.table = np.frombuffer(
-            buf, dtype=np.int64, count=depth * width, offset=17
-        ).reshape(depth, width).copy()
-        return c
-
-    def __repr__(self) -> str:
-        return f"CountMinSketch(d={self.depth}, w={self.width}, n={self._n})"
 
 
 register(CountMinSketch)

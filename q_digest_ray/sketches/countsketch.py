@@ -21,33 +21,24 @@ guard cms.inner_product applies).
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
-import pyarrow as pa
 
 from q_digest_ray.functions.hashing import hash64, splitmix64
-from q_digest_ray.sketches.base import Sketch, register
+from q_digest_ray.sketches.base import CounterTable, register
 
 _ROW_SALT = np.uint64(0x9E3779B97F4A7C15)
 
 
-class CountSketch(Sketch):
+class CountSketch(CounterTable):
     kind = "csk"
 
-    __slots__ = ("depth", "width", "table", "_n")
+    __slots__ = ()
 
     def __init__(self, depth: int = 5, width: int = 1024):
         if depth < 1 or width < 8:
             raise ValueError("depth >= 1 and width >= 8 required")
-        self.depth = int(depth)
-        self.width = int(width)
-        self.table = np.zeros((self.depth, self.width), dtype=np.int64)
-        self._n = 0  # total |weight| mass (update count for weightless use)
-
-    @property
-    def n(self) -> int:
-        return self._n
+        # n is the total |weight| mass (update count for weightless use)
+        super().__init__(depth, width)
 
     def _bucket_sign(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(depth, n) bucket indices and ±1 signs from base hashes."""
@@ -56,12 +47,6 @@ class CountSketch(Sketch):
         buckets = (g % np.uint64(self.width)).astype(np.int64)
         signs = ((g >> np.uint64(63)).astype(np.int64) << 1) - 1
         return buckets, signs
-
-    def update_batch(self, values, weights=None) -> None:
-        h = hash64(
-            values if isinstance(values, (pa.Array, pa.ChunkedArray)) else np.asarray(values)
-        )
-        self.update_hashed(h, weights)
 
     def update_hashed(self, h: np.ndarray, weights=None) -> None:
         if h.size == 0:
@@ -78,9 +63,7 @@ class CountSketch(Sketch):
 
     def query(self, values) -> np.ndarray:
         """Unbiased point-frequency estimates (median over rows)."""
-        h = hash64(
-            values if isinstance(values, (pa.Array, pa.ChunkedArray)) else np.asarray(values)
-        )
+        h = hash64(values)
         if h.size == 0:
             return np.zeros(0, dtype=np.int64)
         buckets, signs = self._bucket_sign(h)
@@ -99,38 +82,11 @@ class CountSketch(Sketch):
     def inner_product(self, other: "CountSketch") -> int:
         """Unbiased join-size estimate a·b; sketches must share shape (the
         hash family is seed-fixed, so shapes equal ⇒ hashes equal)."""
-        if (other.depth, other.width) != (self.depth, self.width):
-            raise ValueError("cannot inner-product CountSketch with different shapes")
+        self._check_shape(other, "inner-product")
         a = self.table.astype(object)
         b = other.table.astype(object)
         rows = sorted(int(x) for x in (a * b).sum(axis=1))
         return rows[len(rows) // 2]
-
-    def merge(self, other: "CountSketch") -> "CountSketch":
-        if (other.depth, other.width) != (self.depth, self.width):
-            raise ValueError("cannot merge CountSketch with different shapes")
-        self.table += other.table
-        self._n += other._n
-        return self
-
-    def to_bytes(self) -> bytes:
-        return (
-            struct.pack("<BIIQ", 1, self.depth, self.width, self._n)
-            + self.table.tobytes()
-        )
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> "CountSketch":
-        ver, depth, width, n = struct.unpack_from("<BIIQ", buf, 0)
-        c = cls(depth=depth, width=width)
-        c._n = n
-        c.table = np.frombuffer(
-            buf, dtype=np.int64, count=depth * width, offset=17
-        ).reshape(depth, width).copy()
-        return c
-
-    def __repr__(self) -> str:
-        return f"CountSketch(d={self.depth}, w={self.width}, n={self._n})"
 
 
 register(CountSketch)

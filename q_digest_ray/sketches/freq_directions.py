@@ -33,6 +33,7 @@ from q_digest_ray.sketches.base import Sketch, pack_arrays, register, unpack_arr
 
 class FrequentDirections(Sketch):
     kind = "fd"
+    input_form = "matrix"
 
     __slots__ = ("ell", "d", "_buf", "_rows", "_n", "_shed")
 

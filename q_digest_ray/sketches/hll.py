@@ -11,14 +11,13 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 
-from q_digest_ray.functions.hashing import hash64
-from q_digest_ray.sketches.base import Sketch, register
+from q_digest_ray.sketches.base import HashedSketch, register
 
 
-class HyperLogLog(Sketch):
+class HyperLogLog(HashedSketch):
     kind = "hll"
+    weighted = False
 
     __slots__ = ("p", "m", "registers", "_n")
 
@@ -38,16 +37,7 @@ class HyperLogLog(Sketch):
     def relative_error(self) -> float:
         return 1.04 / (self.m**0.5)
 
-    def update_batch(self, values, weights=None) -> None:
-        if isinstance(values, (pa.Array, pa.ChunkedArray)):
-            h = hash64(values)
-        else:
-            h = hash64(np.asarray(values))
-        self.update_hashed(h)
-
-    def update_hashed(self, h: np.ndarray) -> None:
-        """Update from precomputed hash64 values (lets a build stage hash a
-        shared column once for several hashing sketches)."""
+    def update_hashed(self, h: np.ndarray, weights=None) -> None:
         if h.size == 0:
             return
         idx = (h >> np.uint64(64 - self.p)).astype(np.int64)

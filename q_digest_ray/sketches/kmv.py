@@ -13,10 +13,8 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pyarrow as pa
 
-from q_digest_ray.functions.hashing import hash64
-from q_digest_ray.sketches.base import Sketch, register
+from q_digest_ray.sketches.base import HashedSketch, register
 
 _MAX = np.float64(2**64)
 
@@ -36,8 +34,9 @@ def bottomk_estimate(hashes: np.ndarray, k: int) -> float:
     return (k - 1) / bottomk_theta(hashes, k)
 
 
-class KMV(Sketch):
+class KMV(HashedSketch):
     kind = "kmv"
+    weighted = False
 
     __slots__ = ("k", "_hashes", "_n")
 
@@ -56,14 +55,7 @@ class KMV(Sketch):
         u = np.unique(np.concatenate([self._hashes, h]))
         self._hashes = u[: self.k]
 
-    def update_batch(self, values, weights=None) -> None:
-        h = hash64(values if isinstance(values, (pa.Array, pa.ChunkedArray)) else np.asarray(values))
-        if h.size == 0:
-            return
-        self._trim(h)
-        self._n += int(h.size)
-
-    def update_hashed(self, h: np.ndarray) -> None:
+    def update_hashed(self, h: np.ndarray, weights=None) -> None:
         if h.size == 0:
             return
         self._trim(h)
@@ -85,21 +77,21 @@ class KMV(Sketch):
     def estimate(self) -> float:
         return bottomk_estimate(self._hashes, self.k)
 
+    def _shared_window(self, other: "KMV") -> tuple[float, np.ndarray, np.ndarray]:
+        """(theta, a, b): the coarser threshold of the two sketches and each
+        one's hashes below it."""
+        theta = min(self.theta, other.theta)
+        lim = np.uint64(int(theta * float(_MAX)) - 1) if theta < 1.0 else np.uint64(2**64 - 1)
+        return theta, self._hashes[self._hashes <= lim], other._hashes[other._hashes <= lim]
+
     def intersection_estimate(self, other: "KMV") -> float:
         """Estimated distinct count of the intersection (inclusion over the
         shared theta window)."""
-        theta = min(self.theta, other.theta)
-        lim = np.uint64(int(theta * float(_MAX)) - 1) if theta < 1.0 else np.uint64(2**64 - 1)
-        a = self._hashes[self._hashes <= lim]
-        b = other._hashes[other._hashes <= lim]
-        inter = np.intersect1d(a, b, assume_unique=True)
-        return len(inter) / theta
+        theta, a, b = self._shared_window(other)
+        return len(np.intersect1d(a, b, assume_unique=True)) / theta
 
     def jaccard_estimate(self, other: "KMV") -> float:
-        theta = min(self.theta, other.theta)
-        lim = np.uint64(int(theta * float(_MAX)) - 1) if theta < 1.0 else np.uint64(2**64 - 1)
-        a = self._hashes[self._hashes <= lim]
-        b = other._hashes[other._hashes <= lim]
+        _theta, a, b = self._shared_window(other)
         union = len(np.union1d(a, b))
         if union == 0:
             return 1.0

@@ -42,6 +42,8 @@ _MODE_STR = 1
 @register
 class SampleSketch(Sketch):
     kind = "sample"
+    input_form = "arrow"  # hashes internally and keeps the raw values
+    weighted = False
 
     __slots__ = ("k", "_hashes", "_values", "_n", "_mode")
 
@@ -94,8 +96,7 @@ class SampleSketch(Sketch):
         O(n) value conversions.  Nulls/NaNs carry no value and are
         dropped.  Float columns sample their int64 truncation (the int64
         distinct domain — two floats truncating equal are one value)."""
-        if weights is not None:
-            raise ValueError("SampleSketch is weight-free (distinct-value sample)")
+        self.check_weights(weights)
         if isinstance(values, pa.ChunkedArray):
             values = values.combine_chunks()
         if isinstance(values, pa.Array):

@@ -74,39 +74,6 @@ def read_table(
     )
 
 
-def read_jsonl(
-    path: str,
-    columns: list[str] | None = None,
-    override_num_blocks: int | None = None,
-) -> "ray.data.Dataset":
-    """JSON-lines source (file or directory of shards).  Ray's JSON reader
-    has no projection pushdown (a text format can't prune I/O), so column
-    pruning happens immediately after parse via ``select_columns`` — rows
-    leave the read stage already narrowed."""
-    ds = ray.data.read_json(path, override_num_blocks=override_num_blocks)
-    if columns:
-        ds = ds.select_columns(columns)
-    return ds
-
-
-def read_csv(
-    path: str,
-    columns: list[str] | None = None,
-    override_num_blocks: int | None = None,
-) -> "ray.data.Dataset":
-    """CSV source with TRUE projection pushdown: Arrow's CSV convert
-    option parses only the requested columns, so unwanted columns are
-    dropped during parsing, not after."""
-    from pyarrow import csv as pa_csv
-
-    kwargs = {}
-    if columns:
-        kwargs["convert_options"] = pa_csv.ConvertOptions(include_columns=columns)
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
-    return ray.data.read_csv(path, **kwargs)
-
-
 def read_table_arrow(
     sf_dir: str, name: str, columns: list[str] | None = None, filters=None
 ):

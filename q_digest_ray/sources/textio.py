@@ -13,10 +13,11 @@ that leg the same ergonomics as ``sources/tables.read_table``:
   small whole shards into at most one task per cluster CPU — row formats
   decompress ~3-5x bigger than parquet, so the per-block byte target is
   smaller;
-- ``columns=`` pruning applied right after parse.  Unlike parquet this
-  CANNOT skip bytes at the read (row formats have no column chunks) —
-  the reader documents that honestly; convert to parquet once
-  (``to_parquet_table``) and every later pass gets real read pruning.
+- ``columns=`` pruning: CSV parses only the requested columns (Arrow's
+  ``ConvertOptions.include_columns``), JSONL drops the rest right after
+  parse.  Unlike parquet neither can skip bytes at the read (row formats
+  have no column chunks); convert to parquet once (``to_parquet_table``)
+  and every later pass gets real read pruning.
 
 Gzip shards (``*.jsonl.gz``/``*.csv.gz``) decompress transparently via
 Arrow's extension-based codec detection inside the datasource.
@@ -72,14 +73,20 @@ def read_csv_table(
     columns: list[str] | None = None,
     override_num_blocks: int | None = None,
 ):
-    """CSV (header row, optionally ``.gz``) → Dataset."""
+    """CSV (header row, optionally ``.gz``) → Dataset; unrequested
+    columns are dropped during the parse, not after it."""
+    from pyarrow import csv as pa_csv
+
     paths = resolve_shards(path, (".csv", ".csv.gz"))
-    ds = ray.data.read_csv(
+    kwargs = {}
+    if columns:
+        kwargs["convert_options"] = pa_csv.ConvertOptions(include_columns=columns)
+    return ray.data.read_csv(
         paths,
         override_num_blocks=override_num_blocks
         or derive_num_blocks(paths, cluster_cpus(), ROW_BYTES_PER_BLOCK),
+        **kwargs,
     )
-    return ds.select_columns(columns) if columns else ds
 
 
 def write_jsonl(ds, out_dir: str) -> None:

@@ -32,11 +32,3 @@ def two_phase(
     return partials.repartition(1).map_batches(
         final_fn, batch_format="pandas", batch_size=None
     )
-
-
-def two_phase_pandas(ds, partial_fn, final_fn, batch_size: int | None = 65536):
-    """Same, with a pandas-format partial stage."""
-    partials = ds.map_batches(partial_fn, batch_format="pandas", batch_size=batch_size)
-    return partials.repartition(1).map_batches(
-        final_fn, batch_format="pandas", batch_size=None
-    )

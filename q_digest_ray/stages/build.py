@@ -1,10 +1,13 @@
 """Per-block sketch build stage (the UDAF *update* leg, SURVEY.md §3.4).
 
-``update_sketch`` is the one insert rule every build path shares: it decides,
-per sketch kind, which input form the kind takes and whether it accepts
-weights.  ``SketchBuilder`` is a plain ``map_batches`` callable — an instance,
-so Ray Data runs it as tasks — that turns each batch into one tiny "sketch
-row" per (spec × group), the mergeable-summary IR:
+``update_sketch`` is the one insert rule every build path shares.  It knows
+no sketch family by name: each family's class (``sketches/``) is its only
+definition, and the rule reads the class's ``input_form`` (which form of the
+column the family takes) and ``weighted`` (whether it takes weights) via the
+registry (``sketches.base.sketch_class``).  ``SketchBuilder`` is a plain
+``map_batches`` callable — an instance, so Ray Data runs it as tasks — that
+turns each batch into one tiny "sketch row" per (spec × group), the
+mergeable-summary IR:
 
     metric: string, sketch: string, group_key: string, payload: binary, n: int64
 
@@ -24,40 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from q_digest_ray.functions.hashing import hash64
-from q_digest_ray.sketches.bloom import BloomFilter
-from q_digest_ray.sketches.cms import CountMinSketch
-from q_digest_ray.sketches.countsketch import CountSketch
-from q_digest_ray.sketches.ddsketch import DDSketch
-from q_digest_ray.sketches.freq_directions import FrequentDirections
-from q_digest_ray.sketches.hll import HyperLogLog
-from q_digest_ray.sketches.kll import KLL
-from q_digest_ray.sketches.kmv import KMV
-from q_digest_ray.sketches.misra_gries import MisraGries
-from q_digest_ray.sketches.qdigest import QDigest
-from q_digest_ray.sketches.sample import SampleSketch
-from q_digest_ray.sketches.tdigest import TDigest
-
-# kind -> (class, input form, accepts weights).  Input forms: "hashed" is the
-# column's hash64 (shared by all hashing specs of a batch), "arrow" the raw
-# Arrow column (sample hashes internally and keeps raw values), "matrix" a
-# list<float> column as an (n, d) row block, "numpy" the column as numpy.
-# Distinctness/membership sketches (and the distinct-value sample) are
-# weight-free by definition; CMS and Count-Sketch are frequency sketches and
-# take weights (csk even negative).
-_KINDS = {
-    "qdigest": (QDigest, "numpy", True),
-    "dds": (DDSketch, "numpy", True),
-    "hll": (HyperLogLog, "hashed", False),
-    "cms": (CountMinSketch, "hashed", True),
-    "csk": (CountSketch, "hashed", True),
-    "bloom": (BloomFilter, "hashed", False),
-    "tdigest": (TDigest, "numpy", True),
-    "kll": (KLL, "numpy", True),
-    "kmv": (KMV, "hashed", False),
-    "mg": (MisraGries, "numpy", True),
-    "sample": (SampleSketch, "arrow", False),
-    "fd": (FrequentDirections, "matrix", True),
-}
+from q_digest_ray.sketches.base import sketch_class
 
 GLOBAL_KEY = ""
 
@@ -75,23 +45,21 @@ class SketchSpec:
 
     metric: str  # output name, unique per spec
     column: str  # input column
-    kind: str  # one of _KINDS
+    kind: str  # a registered sketch kind (sketches.base.sketch_class)
     params: dict = field(default_factory=dict)
     group_by: str | None = None  # group column (small cardinality) or None
     salt: int = 0
     # weighted inserts (reference insert(key, count), src/qcore.c:201): each
     # row's value counts weight_column times — the pre-aggregated-histogram
-    # path (see _KINDS for which kinds take weights)
+    # path (the class's ``weighted`` says which kinds take weights)
     weight_column: str | None = None
 
     def make(self):
-        return _KINDS[self.kind][0](**self.params)
+        return sketch_class(self.kind)(**self.params)
 
 
-def _column_input(spec: SketchSpec, batch: pa.Table):
-    """``batch[spec.column]`` in the input form ``spec.kind`` takes."""
-    col = batch[spec.column]
-    form = _KINDS[spec.kind][1]
+def _column_input(col: pa.ChunkedArray, form: str):
+    """``col`` in input form ``form`` (a sketch class's ``input_form``)."""
     if form == "hashed":
         return hash64(col)
     if form == "arrow":
@@ -108,20 +76,20 @@ def update_sketch(sk, spec: SketchSpec, batch: pa.Table, sel=None, values=None):
     """Insert rows ``sel`` (all rows when None) of ``batch`` into ``sk``.
 
     The one insert rule for every build path (SketchBuilder, the
-    ``sketch_aggregate`` UDAF).  ``values`` is ``_column_input(spec, batch)``
-    when the caller already has it — SketchBuilder converts (and hashes) each
-    column once per batch, for every spec and group.  Returns ``sk``."""
-    _cls, form, weighted = _KINDS[spec.kind]
-    v = _column_input(spec, batch) if values is None else values
+    ``sketch_aggregate`` UDAF).  ``values`` is the column in ``sk``'s
+    ``input_form`` when the caller already has it — SketchBuilder converts
+    (and hashes) each column once per batch, for every spec and group.
+    Returns ``sk``."""
+    form = sk.input_form
+    v = _column_input(batch[spec.column], form) if values is None else values
     if sel is not None:
         v = v.take(pa.array(sel)) if form == "arrow" else v[sel]
     update = sk.update_hashed if form == "hashed" else sk.update_batch
     if spec.weight_column is None:
         update(v)
-    elif not weighted:
-        raise ValueError(f"{spec.kind} is a distinctness sketch — weights undefined")
     else:
         w = batch[spec.weight_column].to_numpy(zero_copy_only=False)
+        sk.check_weights(w)
         update(v, weights=w if sel is None else w[sel])
     return sk
 
@@ -170,9 +138,9 @@ class SketchBuilder:
         # shared by every spec and group that reads it
         inputs: dict[tuple[str, str], object] = {}
         for spec in self.specs:
-            cache_key = (spec.column, _KINDS[spec.kind][1])
+            cache_key = (spec.column, sketch_class(spec.kind).input_form)
             if cache_key not in inputs:
-                inputs[cache_key] = _column_input(spec, batch)
+                inputs[cache_key] = _column_input(batch[spec.column], cache_key[1])
             groups = [(GLOBAL_KEY, None)] if spec.group_by is None else _groups(batch, spec)
             for key, sel in groups:
                 sk = update_sketch(spec.make(), spec, batch, sel, inputs[cache_key])

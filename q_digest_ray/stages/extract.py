@@ -125,13 +125,12 @@ def url_host(url: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pc.struct_field(pc.extract_regex(url, _HOST_RE), "h")
 
 
-def extract_and_project(batch: pa.Table, materialize_text: bool = False) -> pa.Table:
+def extract_and_project(batch: pa.Table) -> pa.Table:
     """html:binary → derived metric columns; drops html.
 
-    Output: url, url_host, lang, text_len (chars), html_size (bytes)
-    [, text when ``materialize_text``].  The default path computes text_len
-    straight off the html buffer (no text copy); pipelines that consume the
-    text itself (dedup, tokenization) set ``materialize_text=True``.
+    Output: url, url_host, lang, text_len (chars), html_size (bytes).
+    text_len is computed straight off the html buffer (no text copy);
+    pipelines that need the text itself call ``extract_text``.
     """
     out = {
         "url": batch["url"],
@@ -139,16 +138,8 @@ def extract_and_project(batch: pa.Table, materialize_text: bool = False) -> pa.T
         "lang": batch["lang"],
     }
     if "html" in batch.column_names:
-        if materialize_text:
-            text = extract_text(batch["html"])
-            out["text"] = text
-            out["text_len"] = pc.utf8_length(text).cast(pa.int64())
-        else:
-            out["text_len"] = pa.array(text_len_from_html(batch["html"]))
+        out["text_len"] = pa.array(text_len_from_html(batch["html"]))
         out["html_size"] = pc.binary_length(batch["html"]).cast(pa.int64())
     else:
-        text = batch["text"]
-        if materialize_text:
-            out["text"] = text
-        out["text_len"] = pc.utf8_length(text).cast(pa.int64())
+        out["text_len"] = pc.utf8_length(batch["text"]).cast(pa.int64())
     return pa.table(out)

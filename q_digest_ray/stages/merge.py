@@ -24,14 +24,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from q_digest_ray.sketches.base import sketch_from_bytes
+from q_digest_ray.sketches.base import sketch_class, sketch_from_bytes
 
 
 def _merge_payload_group(kind: str, payloads) -> bytes:
+    from_bytes = sketch_class(kind).from_bytes  # one registry lookup per group
     it = iter(payloads)
-    acc = sketch_from_bytes(kind, next(it))
+    acc = from_bytes(next(it))
     for p in it:
-        acc.merge(sketch_from_bytes(kind, p))
+        acc.merge(from_bytes(p))
     return acc.to_bytes()
 
 

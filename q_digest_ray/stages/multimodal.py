@@ -6,7 +6,7 @@ blobs via the stdlib ``wave`` module + numpy DSP (no external dep, tested
 in-container); GIF frame sampling is REAL when PIL is importable
 (``FrameSampleStage``).  Everything else (mp3/ogg, mp4/webm — need codecs
 absent here) falls back to a clearly-marked deterministic fake, or raises
-when ``strict=True``, so the Ray-side plumbing — schema, actor-pool
+when ``strict=True``, so the Ray-side plumbing — schema, stage
 signature, batch sizing, output layout — is real and tested end-to-end
 either way.
 
@@ -14,14 +14,15 @@ Media table schema:
     media_id: int64, media: binary, media_type: string ("image"|"audio"|
     "video"), width/height/sample_rate/duration metadata columns.
 
-Stages (all actor-pool map_batches — stateful setup in __init__):
+Stages (map_batches callables; ``__init__`` only sets flags, so callers pass
+an INSTANCE and Ray Data runs it as tasks — no actor pool to spin up or to
+hold CPUs idle while upstream tasks wait):
     ImageDecodeStage  → pixels: fixed 3x8x8 uint8 features per image
     AudioFeatureStage → mfcc-ish fixed 16-dim float features
     FrameSampleStage  → n sampled "frames" per video (list of features)
 
 Batch-size note: binary payloads dominate memory; callers should use small
-``batch_size`` (<= 1024) and bounded ``concurrency`` so batch x pool fits
-the worker heap.
+``batch_size`` (<= 1024) so a batch fits the worker heap.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _fake_features(blobs: pa.Array, dim: int, seed: int) -> np.ndarray:
 
 
 class ImageDecodeStage:
-    """Actor-pool stage: image binary → 192-dim feature row (3x8x8 RGB).
+    """Map stage: image binary → 192-dim feature row (3x8x8 RGB).
 
     REAL decode when PIL is importable (``HAS_PIL``): decode → RGB →
     bilinear resize to 8x8 → channel-major [0, 1] floats.  Without PIL the
@@ -212,7 +213,7 @@ class ImageDecodeStage:
 
 
 class AudioFeatureStage:
-    """Actor-pool stage: audio binary → 16-dim feature row.
+    """Map stage: audio binary → 16-dim feature row.
 
     REAL DSP kernel for WAV (RIFF PCM) blobs — decoded with the stdlib
     ``wave`` module (always present, no torchaudio/librosa needed) and
@@ -396,19 +397,11 @@ class FrameSampleStage:
         )
 
 
-def media_feature_pipeline(ds, batch_size: int = 256, concurrency=None):
+def media_feature_pipeline(ds, batch_size: int = 256):
     """Full plumbing: decode images + audio features in one pass each,
     union the feature rows (the shape a real multimodal pipeline uses).
-    Small batches (binary payloads dominate memory) x a cluster-sized actor
-    pool (``pool_limits``) keeps batch x pool inside the worker heap."""
-    from q_digest_ray.stages.partitioning import pool_limits
-
-    if concurrency is None:
-        concurrency = pool_limits()
-    imgs = ds.map_batches(
-        ImageDecodeStage, batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency
-    )
-    auds = ds.map_batches(
-        AudioFeatureStage, batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency
-    )
+    Small batches keep each task inside the worker heap (binary payloads
+    dominate memory)."""
+    imgs = ds.map_batches(ImageDecodeStage(), batch_format="pyarrow", batch_size=batch_size)
+    auds = ds.map_batches(AudioFeatureStage(), batch_format="pyarrow", batch_size=batch_size)
     return imgs.union(auds)

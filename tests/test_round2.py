@@ -12,7 +12,6 @@ import pytest
 from q_digest_ray.functions.hashing import hash64
 from q_digest_ray.sketches.misra_gries import MisraGries
 from q_digest_ray.sketches.qdigest import QDigest
-from q_digest_ray.stages.partitioning import derive_buckets, pool_limits
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +86,6 @@ def test_qdigest_from_text_corrupt_raises_valueerror():
     bad = "\n".join([" ".join(head)] + lines[1:])
     with pytest.raises(ValueError):
         QDigest.from_text(bad)
-
-
-# ---------------------------------------------------------------------------
-# partitioning: derive_buckets / pool_limits
-# ---------------------------------------------------------------------------
-
-
-def test_pool_limits_sized_to_cluster(ray_session):
-    lo, hi = pool_limits()
-    assert lo == 1 and hi >= 2
-    assert pool_limits(cap=2)[1] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,14 @@ def test_json_csv_roundtrip(ray_session, sf_dir, tmp_path):
 
 
 def test_pruned_jsonl_csv_readers(ray_session, sf_dir, tmp_path):
-    """sources.read_jsonl / read_csv: column pruning at (or right after)
-    the read, values identical to the parquet source."""
+    """textio.read_jsonl / read_csv_table: column pruning at (CSV: during
+    the parse) or right after the read, values identical to the parquet
+    source."""
+    import glob
+
     import ray.data
 
-    from q_digest_ray.sources.tables import read_csv, read_jsonl
+    from q_digest_ray.sources.textio import read_csv_table, read_jsonl
 
     src = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
@@ -61,9 +64,12 @@ def test_pruned_jsonl_csv_readers(ray_session, sf_dir, tmp_path):
     jdir, cdir = str(tmp_path / "j"), str(tmp_path / "c")
     src.write_json(jdir)
     src.write_csv(cdir)
+    # the textio readers take .jsonl shards (Ray writes .json)
+    for p in glob.glob(os.path.join(jdir, "*.json")):
+        os.rename(p, p + "l")
 
     jds = read_jsonl(jdir, columns=["event_id", "value"])
-    cds = read_csv(cdir, columns=["event_id", "value"])
+    cds = read_csv_table(cdir, columns=["event_id", "value"])
     assert sorted(jds.schema().names) == ["event_id", "value"]
     assert sorted(cds.schema().names) == ["event_id", "value"]
     ref = src.to_pandas().sort_values("event_id").reset_index(drop=True)
