@@ -39,6 +39,18 @@ from q_digest_ray.stages.build import SketchSpec, build_sketches
 from q_digest_ray.stages.merge import collect_sketches, merge_grouped
 from q_digest_ray.stages.partitioning import derive_buckets
 
+
+def _strftime(temporal, fmt: str) -> pa.Array:
+    """``pc.strftime(temporal, fmt)`` formatted once per distinct value:
+    dictionary-encode, format the dictionary, ``take`` the labels.  Calendar
+    columns repeat heavily (100k event timestamps floored to hours hold 720
+    values), and a row-level strftime costs far more than a take."""
+    if isinstance(temporal, pa.ChunkedArray):
+        temporal = temporal.combine_chunks()
+    enc = temporal.dictionary_encode()
+    return pc.take(pc.strftime(enc.dictionary, fmt), enc.indices)
+
+
 # ---------------------------------------------------------------------------
 # exact queries
 # ---------------------------------------------------------------------------
@@ -1172,7 +1184,7 @@ def promo_revenue_by_month(sf_dir: str):
         present = keys[pos_safe] == k  # inner-join guard
         promo = lk["is_promo"][pos_safe[present]]
         month = np.asarray(
-            pc.strftime(batch["l_shipdate"], format="%Y-%m").to_numpy(
+            _strftime(batch["l_shipdate"], "%Y-%m").to_numpy(
                 zero_copy_only=False
             )
         )[present]
@@ -3538,7 +3550,7 @@ def rollup_revenue(sf_dir: str):
         df = pd.DataFrame(
             {
                 "priority": batch["o_orderpriority"].to_pandas(),
-                "o_year": pc.strftime(batch["o_orderdate"], "%Y").to_pandas(),
+                "o_year": _strftime(batch["o_orderdate"], "%Y").to_pandas(),
                 "cents": cents,
             }
         )
@@ -4066,9 +4078,7 @@ def rate_limit_audit(sf_dir: str, limit: int = 5, num_buckets: int = 32):
     B = num_buckets
 
     def partial(batch: pa.Table) -> pa.Table:
-        win = pc.strftime(
-            pc.floor_temporal(batch["ts"], unit="day"), "%Y-%m-%d"
-        )
+        win = _strftime(pc.floor_temporal(batch["ts"], unit="day"), "%Y-%m-%d")
         t = pa.table({"user_id": batch["user_id"], "window": win})
         t = t.append_column("c", pa.array(np.ones(len(t), np.int64)))
         g = t.group_by(["user_id", "window"]).aggregate([("c", "sum")])
@@ -5505,7 +5515,7 @@ def _hourly_value_qdigests(sf_dir: str) -> dict:
     ds = read_table(sf_dir, "events", columns=["ts", "value"])
 
     def add_cols(batch: pa.Table) -> pa.Table:
-        win = pc.strftime(pc.floor_temporal(batch["ts"], unit="hour"), "%Y-%m-%d %H:00")
+        win = _strftime(pc.floor_temporal(batch["ts"], unit="hour"), "%Y-%m-%d %H:00")
         return pa.table({"window": win, "value_cents": _cents(batch["value"])})
 
     rows = build_sketches(
@@ -5516,12 +5526,9 @@ def _hourly_value_qdigests(sf_dir: str) -> dict:
 
 
 def _merged_qdigest(members) -> QDigest:
-    """Merge ``members`` (in the given order) into a FRESH sketch: merge()
-    mutates self, and the members stay queryable for their own rows."""
-    acc = QDigest(**_HOURLY_QDIGEST)
-    for m in members:
-        acc.merge(m)
-    return acc
+    """``members`` merged in one pass into a FRESH sketch (merge_many
+    mutates no input, so the members stay queryable for their own rows)."""
+    return QDigest.merge_many([QDigest(**_HOURLY_QDIGEST), *members])
 
 
 def sk_qdigest_value_by_hour(sf_dir: str):

@@ -64,6 +64,21 @@ class Sketch:
         """
         raise NotImplementedError
 
+    @classmethod
+    def merge_many(cls, sketches) -> "Sketch":
+        """The merge of ``sketches`` (one or more) in one call.
+
+        This default folds them pairwise into the first sketch, which it
+        mutates and returns; a family overrides it with a one-pass merge
+        where that is cheaper (``QDigest``)."""
+        it = iter(sketches)
+        acc = next(it, None)
+        if acc is None:
+            raise ValueError("merge_many needs at least one sketch")
+        for sk in it:
+            acc.merge(sk)
+        return acc
+
     def to_bytes(self) -> bytes:
         raise NotImplementedError
 

@@ -47,14 +47,8 @@ def log2_ceil(n: int) -> int:
     return int(n - 1).bit_length()
 
 
-def _combine_sorted(ids_a, cnt_a, ids_b, cnt_b):
-    """Union two (sorted id, count) pairs, summing counts of equal ids."""
-    if len(ids_a) == 0:
-        return ids_b, cnt_b
-    if len(ids_b) == 0:
-        return ids_a, cnt_a
-    ids = np.concatenate([ids_a, ids_b])
-    cnt = np.concatenate([cnt_a, cnt_b])
+def _sum_by_id(ids, cnt):
+    """Sort (id, count) pairs by id and sum the counts of equal ids."""
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     cnt = cnt[order]
@@ -63,6 +57,25 @@ def _combine_sorted(ids_a, cnt_a, ids_b, cnt_b):
     np.not_equal(ids[1:], ids[:-1], out=new_start[1:])
     starts = np.flatnonzero(new_start)
     return ids[starts], np.add.reduceat(cnt, starts)
+
+
+def _combine_sorted(ids_a, cnt_a, ids_b, cnt_b):
+    """Union two (sorted id, count) pairs, summing counts of equal ids."""
+    if len(ids_a) == 0:
+        return ids_b, cnt_b
+    if len(ids_b) == 0:
+        return ids_a, cnt_a
+    return _sum_by_id(np.concatenate([ids_a, ids_b]), np.concatenate([cnt_a, cnt_b]))
+
+
+def _embed(ids: np.ndarray, d: int) -> np.ndarray:
+    """Heap ids of a universe 2**d times wider: a bucket (level, offset)
+    becomes (level + d, offset) under the left-anchored embedding.  The map
+    is monotone, so sorted ids stay sorted."""
+    if d == 0 or len(ids) == 0:
+        return ids
+    msb = np.left_shift(np.int64(1), np.frexp(ids.astype(np.float64))[1] - 1)
+    return np.left_shift(msb, d) + (ids - msb)
 
 
 class QDigest(Sketch):
@@ -134,10 +147,7 @@ class QDigest(Sketch):
         d = new_bits - self.universe_bits
         if d <= 0:
             return
-        if len(self._ids):
-            lv = self._levels(self._ids)
-            msb = np.left_shift(np.int64(1), lv)
-            self._ids = np.left_shift(msb, d) + (self._ids - msb)
+        self._ids = _embed(self._ids, d)
         self.universe_bits = new_bits
 
     def update_batch(self, values, weights=None) -> None:
@@ -274,21 +284,34 @@ class QDigest(Sketch):
     def merge(self, other: "QDigest") -> "QDigest":
         """Union (src/qcore.c:390-417): K=max, universe=max, add all buckets,
         then gated compress.  Commutative/associative within the rank bound."""
-        if other.universe_bits > self.universe_bits:
-            self._expand(other.universe_bits)
-        o_ids, o_cnt = other._ids, other._counts
-        if other.universe_bits < self.universe_bits:
-            d = self.universe_bits - other.universe_bits
-            lv = other._levels(o_ids)
-            msb = np.left_shift(np.int64(1), lv)
-            o_ids = np.left_shift(msb, d) + (o_ids - msb)
-            order = np.argsort(o_ids, kind="stable")
-            o_ids, o_cnt = o_ids[order], o_cnt[order]
-        self.k = max(self.k, other.k)
-        self._ids, self._counts = _combine_sorted(self._ids, self._counts, o_ids, o_cnt)
-        self._n += other._n
-        self._compress_if_needed()
+        m = self.merge_many([self, other])
+        self.k, self.universe_bits, self._n = m.k, m.universe_bits, m._n
+        self._ids, self._counts = m._ids, m._counts
         return self
+
+    @classmethod
+    def merge_many(cls, sketches) -> "QDigest":
+        """The union of ``sketches`` in one pass, as a new digest (no input
+        is mutated): every input's buckets re-keyed to the widest universe,
+        one stable sort and ``reduceat`` over all of them, K = max K, then
+        one gated compress.
+
+        Without a compress the buckets equal those of any pairwise merge
+        order.  The rank bound holds as for a pairwise merge: at equal K an
+        input's non-leaf bucket holds at most n_i/K, so a merged one holds at
+        most sum(n_i)/K = n/K, and compress keeps that true."""
+        sks = list(sketches)
+        if not sks:
+            raise ValueError("merge_many needs at least one sketch")
+        bits = max(s.universe_bits for s in sks)
+        out = cls(k=max(s.k for s in sks), universe_bits=bits)
+        out._n = sum(s._n for s in sks)
+        ids = np.concatenate([_embed(s._ids, bits - s.universe_bits) for s in sks])
+        if len(ids):
+            cnt = np.concatenate([s._counts for s in sks])
+            out._ids, out._counts = _sum_by_id(ids, cnt)
+            out._compress_if_needed()
+        return out
 
     # -- query --------------------------------------------------------------
 
@@ -366,11 +389,8 @@ class QDigest(Sketch):
             ids.append((1 << lvl) + (lb >> log2_ceil(width)))
             cnts.append(c)
         if ids:
-            a = np.array(ids, dtype=np.int64)
-            c = np.array(cnts, dtype=np.int64)
-            order = np.argsort(a, kind="stable")
-            q._ids, q._counts = _combine_sorted(
-                np.empty(0, np.int64), np.empty(0, np.int64), a[order], c[order]
+            q._ids, q._counts = _sum_by_id(
+                np.array(ids, dtype=np.int64), np.array(cnts, dtype=np.int64)
             )
         q._n = int(q._counts.sum()) if len(q._counts) else 0
         if q._n != n and n != 0:

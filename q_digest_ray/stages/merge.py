@@ -8,9 +8,13 @@ there; the authoritative semantics are serial merge(), src/qcore.c:390-417):
    (metric, sketch, group_key) *within each block*.  It collapses
    num_blocks × groups rows down to ~groups per block, so every later step
    only moves tiny pre-merged payloads.
-2. ``merge_grouped`` — coalesces the combined blocks (in 8x rounds when
-   there are many) and runs the same combiner over the result.  Handles both
-   grouped sketches and the global (group_key="") fold in one uniform step.
+2. ``merge_grouped`` — runs the combiner once per block, fused into the
+   read/build task (one Ray Data task per input split, no exchange), and
+   adds 8x coalesce rounds only when there are very many blocks.
+3. ``collect_sketches`` — the last fold, on the driver: concatenates the
+   combined blocks and runs the same combiner once before decoding, like
+   the reference's reduce to the root rank.  Handles both grouped sketches
+   and the global (group_key="") fold in one uniform step.
 
 Payloads are O(k) bytes, so the fold is metadata-cheap by design; skewed
 group keys are irrelevant here because pre-combining bounds every group's
@@ -28,12 +32,8 @@ from q_digest_ray.sketches.base import sketch_class, sketch_from_bytes
 
 
 def _merge_payload_group(kind: str, payloads) -> bytes:
-    from_bytes = sketch_class(kind).from_bytes  # one registry lookup per group
-    it = iter(payloads)
-    acc = from_bytes(next(it))
-    for p in it:
-        acc.merge(from_bytes(p))
-    return acc.to_bytes()
+    cls = sketch_class(kind)  # one registry lookup per group
+    return cls.merge_many([cls.from_bytes(p) for p in payloads]).to_bytes()
 
 
 def combine_sketch_rows(batch: pa.Table) -> pa.Table:
@@ -84,28 +84,31 @@ def combine_sketch_rows(batch: pa.Table) -> pa.Table:
     )
 
 
-# the final combine task sees at most this many combined blocks; above it,
-# merge_grouped adds one 8x coalesce round per factor of 8
+# above this many blocks, merge_grouped adds one 8x coalesce round per factor
+# of 8, so the driver's final fold sees at most this many combined blocks
 FINAL_FOLD_MAX_BLOCKS = 512
 
 
 def merge_grouped(sketch_rows_ds):
-    """Dataset of sketch rows → Dataset with one row per (metric, group).
+    """Dataset of sketch rows → Dataset of combined sketch rows: at most one
+    row per (metric, group) *per block*.  ``collect_sketches`` does the last
+    fold on the driver.
 
-    Combine rows per block, then coalesce and run one final combine task —
-    the log-depth fold the reference's TreeAllreduce intended, expressed as
-    data movement.  Valid because the combiner bounds the final input at
-    num_blocks x groups tiny rows.  Intermediate rounds are derived from a
-    public-API block-count estimate (partitioning.estimate_num_blocks; file
-    count ~= block count at production scale): 0 rounds up to
-    ``FINAL_FOLD_MAX_BLOCKS`` blocks, then one 8x coalesce round per factor
-    of 8 above it (a 1M-block input gets 4 rounds).
+    The combiner runs with ``batch_size=None``, so Ray Data fuses it — and
+    the build and read before it — into one task per input split; a row
+    count there (Ray's ``min_rows_per_bundled_input``) would keep the read a
+    separate operator.  Rounds are derived from a public-API block-count
+    estimate (partitioning.estimate_num_blocks; file count ~= block count at
+    production scale): 0 rounds up to ``FINAL_FOLD_MAX_BLOCKS`` blocks, then
+    one 8x coalesce round per factor of 8 above it (a 1M-block input gets 4
+    rounds) — the log-depth fold the reference's TreeAllreduce intended,
+    expressed as data movement.
     """
     from q_digest_ray.stages.partitioning import estimate_num_blocks
 
     nb = estimate_num_blocks(sketch_rows_ds)
     ds = sketch_rows_ds.map_batches(
-        combine_sketch_rows, batch_format="pyarrow", batch_size=4096
+        combine_sketch_rows, batch_format="pyarrow", batch_size=None
     )
     target = nb
     while target > FINAL_FOLD_MAX_BLOCKS:
@@ -113,9 +116,7 @@ def merge_grouped(sketch_rows_ds):
         ds = ds.repartition(max(8, target)).map_batches(
             combine_sketch_rows, batch_format="pyarrow", batch_size=None
         )
-    return ds.repartition(1).map_batches(
-        combine_sketch_rows, batch_format="pyarrow", batch_size=None
-    )
+    return ds
 
 
 def desalt(merged_ds):
@@ -136,10 +137,19 @@ def desalt(merged_ds):
 
 
 def collect_sketches(merged_ds) -> dict[tuple[str, str], object]:
-    """Small final table → {(metric, group_key): sketch object} on the driver."""
-    out = {}
-    for row in merged_ds.take_all():
-        out[(row["metric"], row["group_key"])] = sketch_from_bytes(
-            row["sketch"], row["payload"]
-        )
-    return out
+    """Combined sketch rows → {(metric, group_key): sketch object}: one
+    combine over every block's rows on the driver (the final fold), then one
+    decode per (metric, group)."""
+    blocks = [
+        b
+        for b in merged_ds.iter_batches(batch_format="pyarrow", batch_size=None)
+        if b.num_rows
+    ]
+    if not blocks:
+        return {}
+    t = combine_sketch_rows(pa.concat_tables(blocks))
+    cols = (t[c].to_pylist() for c in ("metric", "group_key", "sketch", "payload"))
+    return {
+        (metric, key): sketch_from_bytes(kind, payload)
+        for metric, key, kind, payload in zip(*cols)
+    }

@@ -54,7 +54,7 @@ def estimate_num_blocks(ds) -> int:
     """Pre-execution block-count estimate, public Dataset APIs first.
 
     Drives the auto-derived tree-fold depth in stages/merge.merge_grouped
-    (how many 8x coalesce rounds before the final combine task).  The r2
+    (how many 8x coalesce rounds before the driver's final fold).  The r2
     code relied solely on
     ``ds._plan.initial_num_blocks()`` — a private attribute a Ray upgrade
     could silently remove, disabling the auto-fold (r2 VERDICT item 8).

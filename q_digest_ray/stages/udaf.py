@@ -30,6 +30,7 @@ import pyarrow as pa
 
 from ray.data.aggregate import AggregateFn
 
+from q_digest_ray.sketches.base import sketch_class
 from q_digest_ray.stages.build import SketchSpec, update_sketch
 
 
@@ -54,12 +55,15 @@ def sketch_aggregate(
     ``spec.group_by``/``spec.salt`` are ignored here — grouping belongs to
     ``ds.groupby(...)`` on this surface.
     """
-    fin = finalize if finalize is not None else (lambda sk: sk.to_bytes())
+    cls = sketch_class(spec.kind)
+    decode = cls.from_bytes
+    # the accumulator is the sketch's bytes: Ray stores accumulators in Arrow
+    # blocks, which cannot hold live sketch objects
     return AggregateFn(
-        init=lambda _k: spec.make(),
-        accumulate_block=lambda sk, block: _accumulate(spec, sk, block),
-        merge=lambda a, b: a.merge(b),
-        finalize=fin,
+        init=lambda _k: spec.make().to_bytes(),
+        accumulate_block=lambda acc, block: _accumulate(spec, decode(acc), block).to_bytes(),
+        merge=lambda a, b: cls.merge_many([decode(a), decode(b)]).to_bytes(),
+        finalize=(lambda acc: acc) if finalize is None else (lambda acc: finalize(decode(acc))),
         name=name or spec.metric,
     )
 

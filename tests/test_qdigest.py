@@ -315,3 +315,66 @@ def test_rejects_negative_weights():
     q = QDigest(k=10, universe_bits=8)
     with pytest.raises(ValueError, match="non-negative"):
         q.update_batch(np.array([1, 2]), weights=np.array([3, -1]))
+
+
+# ---------------------------------------------------------------------------
+# one-pass merge_many
+# ---------------------------------------------------------------------------
+
+
+def _pairwise(sketches) -> QDigest:
+    acc = QDigest.from_bytes(sketches[0].to_bytes())
+    for s in sketches[1:]:
+        acc.merge(s)
+    return acc
+
+
+def test_merge_many_exact_n_and_rank_bound():
+    rng = np.random.default_rng(7)
+    vals = rng.integers(0, 1 << 16, 80_000)
+    sketches = _partition_sketches(vals, 16)
+    merged = QDigest.merge_many(sketches)
+    assert merged.n == len(vals)
+    assert merged.num_buckets < 6 * merged.k  # the gated compress ran
+    assert_within_bound(merged, vals)
+
+
+def test_merge_many_mutates_no_input():
+    rng = np.random.default_rng(8)
+    sketches = _partition_sketches(rng.integers(0, 1 << 12, 20_000), 8)
+    before = [s.to_bytes() for s in sketches]
+    QDigest.merge_many(sketches)
+    assert [s.to_bytes() for s in sketches] == before
+
+
+def test_merge_many_mixed_k_and_universe():
+    rng = np.random.default_rng(9)
+    parts, vals = [], []
+    for k, bits in ((20, 4), (40, 10), (30, 16), (40, 10)):
+        v = rng.integers(0, 1 << bits, 3_000)
+        s = QDigest(k=k, universe_bits=bits)
+        s.update_batch(v)
+        parts.append(s)
+        vals.append(v)
+    merged = QDigest.merge_many(parts)
+    assert (merged.k, merged.universe_bits) == (40, 16)
+    assert merged.n == 12_000
+    assert_within_bound(merged, np.concatenate(vals))
+
+
+def test_merge_many_equals_pairwise_without_compress():
+    rng = np.random.default_rng(10)
+    parts = []
+    for bits in (6, 12, 9, 12):
+        s = QDigest(k=200, universe_bits=bits)
+        s.update_batch(rng.integers(0, 1 << bits, 40))
+        parts.append(s)
+    merged = QDigest.merge_many(parts)
+    assert merged.num_buckets < 6 * merged.k  # below the compress gate
+    for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
+        assert merged.to_bytes() == _pairwise([parts[i] for i in order]).to_bytes()
+
+
+def test_merge_many_rejects_empty():
+    with pytest.raises(ValueError, match="at least one"):
+        QDigest.merge_many([])

@@ -93,11 +93,10 @@ def test_packed_cc_pages_read_matches_one_task_per_file(ray_session, tmp_path, m
     merged sketches: same groups, per-group n, quantiles and estimates."""
     import ray.data
 
-    from q_digest_ray.sketches.base import sketch_from_bytes
     from q_digest_ray.sources import cc_pages, tables
     from q_digest_ray.stages.build import SketchSpec, build_sketches
     from q_digest_ray.stages.extract import extract_and_project
-    from q_digest_ray.stages.merge import merge_grouped
+    from q_digest_ray.stages.merge import collect_sketches, merge_grouped
 
     d = cc_pages.synthesize(str(tmp_path / "cc"), total_rows=240, shards=12, seed=3)
     specs = [
@@ -119,14 +118,13 @@ def test_packed_cc_pages_read_matches_one_task_per_file(ray_session, tmp_path, m
         assert planned.pop() == min(cpus, 12)
         ds = ds.map_batches(extract_and_project, batch_format="pyarrow")
         out = {}
-        for r in merge_grouped(build_sketches(ds, specs)).take_all():
-            sk = sketch_from_bytes(r["sketch"], r["payload"])
+        for key, sk in collect_sketches(merge_grouped(build_sketches(ds, specs))).items():
             est = (
                 [sk.quantile(p) for p in (0.1, 0.5, 0.9)]
-                if r["sketch"] == "qdigest"
+                if sk.kind == "qdigest"
                 else sk.estimate()
             )
-            out[(r["metric"], r["group_key"])] = (r["n"], est)
+            out[key] = (sk.n, est)
         return out
 
     packed, per_file = merged(1), merged(64)
@@ -191,7 +189,7 @@ def test_merge_fold_arrow_native_equivalence(ray_session):
 
     from q_digest_ray.sketches.base import sketch_from_bytes
     from q_digest_ray.sketches.hll import HyperLogLog
-    from q_digest_ray.stages.merge import combine_sketch_rows, merge_grouped
+    from q_digest_ray.stages.merge import collect_sketches, combine_sketch_rows, merge_grouped
 
     rows = []
     rng = np.random.default_rng(5)
@@ -209,10 +207,7 @@ def test_merge_fold_arrow_native_equivalence(ray_session):
             }
         )
     ds = ray.data.from_items(rows).repartition(8).materialize()
-    folded = {
-        (r["metric"], r["group_key"]): (r["n"], sketch_from_bytes(r["sketch"], r["payload"]))
-        for r in merge_grouped(ds).take_all()
-    }
+    folded = {key: (sk.n, sk) for key, sk in collect_sketches(merge_grouped(ds)).items()}
     combined = combine_sketch_rows(pa.concat_tables(ray.get(ds.to_arrow_refs())))
     direct = {
         (r["metric"], r["group_key"]): (r["n"], sketch_from_bytes(r["sketch"], r["payload"]))
