@@ -34,7 +34,7 @@ import ray
 from q_digest_ray.functions.hashing import hash64
 from q_digest_ray.sketches.qdigest import QDigest
 from q_digest_ray.sources.tables import read_table, read_table_arrow
-from q_digest_ray.stages.agg import two_phase
+from q_digest_ray.stages.agg import fold_on_driver, two_phase
 from q_digest_ray.stages.build import SketchSpec, build_sketches
 from q_digest_ray.stages.merge import collect_sketches, merge_grouped
 from q_digest_ray.stages.partitioning import derive_buckets
@@ -147,7 +147,7 @@ def pricing_summary(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     return df.sort_values(["l_returnflag", "l_linestatus"]).reset_index(drop=True)
 
 
@@ -190,7 +190,7 @@ def lang_counts(sf_dir: str):
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("lang", as_index=False).agg(cnt=("cnt", "sum"))
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["cnt"] = df["cnt"].astype("int64")
     return df.sort_values("lang").reset_index(drop=True)
 
@@ -377,7 +377,7 @@ def exact_quantiles_nchars(sf_dir: str):
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("v", as_index=False).agg(cnt=("cnt", "sum"))
 
-    hist = two_phase(ds, partial, final).to_pandas().sort_values("v")
+    hist = two_phase(ds, partial, final).sort_values("v")
     csum = hist["cnt"].cumsum().to_numpy()
     vals = hist["v"].to_numpy()
     n = int(csum[-1])
@@ -428,7 +428,7 @@ def events_hourly(sf_dir: str):
         g["sum_value"] = (g["s_value"] / 100.0).astype("float64")
         return g.drop(columns=["s_value"])
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["n_events"] = df["n_events"].astype("int64")
     # emit the window as a string so value comparison is unit-independent
     df["window_start"] = pd.to_datetime(df["window_start"]).dt.strftime("%Y-%m-%d %H:%M:%S")
@@ -479,7 +479,7 @@ def top_users(sf_dir: str):
             }
         )
 
-    return two_phase(ds, partial, final).to_pandas().reset_index(drop=True)
+    return two_phase(ds, partial, final).reset_index(drop=True)
 
 
 TOP_USERS_SQL = """
@@ -553,7 +553,7 @@ def order_revenue_by_nation(sf_dir: str):
             }
         )
 
-    out = two_phase(ds, join_agg, final, batch_size=None).to_pandas()
+    out = two_phase(ds, join_agg, final)
     return out.sort_values("n_name").reset_index(drop=True)
 
 
@@ -607,7 +607,7 @@ def token_totals(sf_dir: str):
             total_tokens=("total_tokens", "sum"), n_docs=("n_docs", "sum")
         )
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["total_tokens"] = df["total_tokens"].astype("int64")
     df["n_docs"] = df["n_docs"].astype("int64")
     return df.sort_values("lang").reset_index(drop=True)
@@ -687,7 +687,7 @@ def punct_stats(sf_dir: str):
             }
         )
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     return df.sort_values("lang").reset_index(drop=True)
 
 
@@ -915,7 +915,7 @@ def events_sliding(sf_dir: str):
         g["sum_value"] = (g["s_value"] / 100.0).astype("float64")
         return g.drop(columns=["s_value"])
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["n_events"] = df["n_events"].astype("int64")
     df["window_start"] = pd.to_datetime(df["window_start"]).dt.strftime("%Y-%m-%d %H:%M:%S")
     return (
@@ -954,7 +954,7 @@ def corpus_sample_stats(sf_dir: str):
             {"sampled_rows": [n], "avg_n_chars": [round(df["s"].sum() / max(n, 1), 2)]}
         )
 
-    return two_phase(sample, partial, final).to_pandas()
+    return two_phase(sample, partial, final)
 
 
 def revenue_by_priority(sf_dir: str):
@@ -998,7 +998,7 @@ def revenue_by_priority(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    df = two_phase(joined, partial, final).to_pandas()
+    df = two_phase(joined, partial, final)
     return df.sort_values("o_orderpriority").reset_index(drop=True)
 
 
@@ -1071,7 +1071,7 @@ def brand_revenue(sf_dir: str):
     ds = read_table(
         sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount"]
     )
-    out = two_phase(ds, join_agg, final, batch_size=None).to_pandas()
+    out = two_phase(ds, join_agg, final)
     out["n_items"] = out["n_items"].astype("int64")
     return out.sort_values("p_brand").reset_index(drop=True)
 
@@ -1140,7 +1140,7 @@ def supplier_region_acctbal(sf_dir: str):
         return pd.DataFrame(rows)
 
     ds = read_table(sf_dir, "supplier", columns=["s_nationkey", "s_acctbal"])
-    out = two_phase(ds, tag, final, batch_size=None).to_pandas()
+    out = two_phase(ds, tag, final)
     out["n_suppliers"] = out["n_suppliers"].astype("int64")
     return out.sort_values("r_name").reset_index(drop=True)
 
@@ -1228,7 +1228,7 @@ def promo_revenue_by_month(sf_dir: str):
         "lineitem",
         columns=["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"],
     )
-    out = two_phase(ds, join_agg, final, batch_size=None).to_pandas()
+    out = two_phase(ds, join_agg, final)
     return out.sort_values("ship_month").reset_index(drop=True)
 
 
@@ -1312,7 +1312,7 @@ def repetition_stats(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     for c in ("total_tokens", "distinct_tokens", "n_docs"):
         out[c] = out[c].astype("int64")
     return out.sort_values("lang").reset_index(drop=True)
@@ -1442,7 +1442,7 @@ def props_value_by_type(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     for c in ("n_events", "n_with_k", "sum_k"):
         out[c] = out[c].astype("int64")
     return out.sort_values("event_type").reset_index(drop=True)
@@ -1690,7 +1690,7 @@ def trimmed_mean_nchars_by_lang(sf_dir: str, trim: float = 0.05):
         out["n_trimmed_each_side"] = out["n_trimmed_each_side"].astype("int64")
         return out
 
-    return two_phase(ds, partial, final).to_pandas().sort_values("lang").reset_index(drop=True)
+    return two_phase(ds, partial, final).sort_values("lang").reset_index(drop=True)
 
 
 TRIMMED_MEAN_SQL = """
@@ -1741,7 +1741,7 @@ def chi2_lang_source(sf_dir: str):
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(["source", "lang"], as_index=False).agg(n=("n", "sum"))
 
-    cells = two_phase(ds, partial, final).to_pandas().sort_values(["source", "lang"])
+    cells = two_phase(ds, partial, final).sort_values(["source", "lang"])
     N = int(cells["n"].sum())
     row = cells.groupby("source")["n"].sum()
     col = cells.groupby("lang")["n"].sum()
@@ -1862,7 +1862,7 @@ def pmi_collocations(sf_dir: str, k: int = 20, num_buckets: int | None = None):
         return df.groupby("token", as_index=False).agg(cnt=("cnt", "sum"))
 
     ds = read_table(sf_dir, "documents", columns=["text"])
-    tk = two_phase(ds, partial, final, batch_size=None).to_pandas()
+    tk = two_phase(ds, partial, final)
     counts = dict(zip(tk["token"], tk["cnt"].astype(int)))
     nt, nb = counts[" NT "], counts[" NB "]
     rows = []
@@ -2438,11 +2438,9 @@ def dup_span_length_hist(
         )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return df
         return df.groupby("span_len", as_index=False).agg(n_spans=("n_spans", "sum"))
 
-    out = two_phase(ds, p2, final, batch_size=None).to_pandas()
+    out = two_phase(ds, p2, final)
     if out.empty or "span_len" not in out.columns:
         return pd.DataFrame(
             {
@@ -2637,7 +2635,7 @@ def ngram_contamination(
     def tfinal(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("split", as_index=False).agg(n=("n", "sum"))
 
-    totals = two_phase(dids, tpartial, tfinal).to_pandas()
+    totals = two_phase(dids, tpartial, tfinal)
     tot = {int(r["split"]): int(r["n"]) for _, r in totals.iterrows()}
 
     from q_digest_ray.functions.fixedpoint import duckdb_round_double
@@ -2747,12 +2745,11 @@ def incremental_dedup(sf_dir: str, num_buckets: int | None = None):
             )
 
         def final(df: pd.DataFrame) -> pd.DataFrame:
-            if "lang" not in df.columns:
-                return empty
             return df.groupby("lang", as_index=False).agg(**{col_name: (col_name, "sum")})
 
-        out = two_phase(ds, partial, final).to_pandas()
-        # a fully-empty Dataset (every new doc a dup) never reaches final
+        out = two_phase(ds, partial, final)
+        # no partial rows (every new doc a dup): two_phase returns a
+        # column-less frame without calling final
         return out if "lang" in out.columns else empty
 
     old = docs.map_batches(half(0), batch_format="pyarrow", batch_size=None)
@@ -2826,7 +2823,7 @@ def token_balanced_shards(
     def unit_final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("unit", as_index=False).agg(t=("t", "sum"))
 
-    units = two_phase(ds, unit_partials, unit_final).to_pandas()
+    units = two_phase(ds, unit_partials, unit_final)
     units = units.sort_values("unit").reset_index(drop=True)
     total = int(units["t"].sum())
     budget = max(1, -(-total // target_shards))  # ceil
@@ -2975,7 +2972,7 @@ def bm25_topk(
     def stat_final(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame([df.sum().astype(np.int64)])
 
-    st = two_phase(ds, stat_partial, stat_final, batch_size=None).to_pandas()
+    st = two_phase(ds, stat_partial, stat_final)
     N = int(st["n"][0])
     avgdl = float(st["sumlen"][0]) / N
     idf = np.array(
@@ -3013,7 +3010,7 @@ def bm25_topk(
         out["doc_id"] = out["doc_id"].astype("int64")
         return out
 
-    return two_phase(ds, score_partial, final, batch_size=None).to_pandas()
+    return two_phase(ds, score_partial, final)
 
 
 BM25_TOPK_SQL = r"""
@@ -3100,7 +3097,7 @@ def byte_pair_stats(sf_dir: str, top: int = 20):
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("pair", as_index=False).agg(cnt=("cnt", "sum"))
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     out = out.sort_values(["cnt", "pair"], ascending=[False, True]).head(top)
     out = out.reset_index(drop=True)
 
@@ -3251,7 +3248,7 @@ def stratified_sample(sf_dir: str, n_per_group: int = 10):
         out["rn"] = out.groupby("lang", sort=False).cumcount() + 1
         return out[["lang", "rn", "doc_id"]]
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     for c in ("rn", "doc_id"):
         out[c] = out[c].astype("int64")
     return out.sort_values(["lang", "rn"]).reset_index(drop=True)
@@ -3499,7 +3496,7 @@ def scrub_stats(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     for c in ("n_docs", "n_docs_scrubbed", "n_redactions", "chars_before", "chars_after"):
         out[c] = out[c].astype("int64")
     return out.sort_values("lang").reset_index(drop=True)
@@ -3582,7 +3579,7 @@ def rollup_revenue(sf_dir: str):
             ["priority", "o_year", "grouping_id", "n_orders", "revenue"]
         ]
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     out["n_orders"] = out["n_orders"].astype("int64")
     out["grouping_id"] = out["grouping_id"].astype("int64")
     return out.sort_values(
@@ -3655,7 +3652,7 @@ def global_sort_ranks(sf_dir: str, num_partitions: int = 16):
     def count_final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("part", as_index=False).agg(cnt=("cnt", "sum"))
 
-    counts = two_phase(keyed, count_partial, count_final).to_pandas()
+    counts = two_phase(keyed, count_partial, count_final)
     counts = counts.set_index("part")["cnt"].reindex(range(P), fill_value=0)
     offsets = np.zeros(P, dtype=np.int64)
     offsets[1:] = np.cumsum(counts.to_numpy())[:-1]
@@ -3775,7 +3772,7 @@ def bloom_prune_join(sf_dir: str, min_total: float = 400000.0):
             )
         return pd.DataFrame(rows)
 
-    out = two_phase(matched, agg_partial, agg_final).to_pandas()
+    out = two_phase(matched, agg_partial, agg_final)
     out["n_items"] = out["n_items"].astype("int64")
     return out.sort_values("l_returnflag").reset_index(drop=True)
 
@@ -3808,7 +3805,7 @@ def bpe_token_totals(sf_dir: str):
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("lang", as_index=False).agg(bpe_tokens=("bpe_tokens", "sum"))
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["bpe_tokens"] = df["bpe_tokens"].astype("int64")
     return df.sort_values("lang").reset_index(drop=True)
 
@@ -3837,7 +3834,7 @@ def quality_filter(sf_dir: str):
         g = df.groupby("lang", as_index=False).agg(n_pass=("n_pass", "sum"))
         return g[g["n_pass"] > 0]
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["n_pass"] = df["n_pass"].astype("int64")
     return df.sort_values("lang").reset_index(drop=True)
 
@@ -4049,7 +4046,7 @@ def compression_ratio_stats(sf_dir: str):
             max_ppm=("max_ppm", "max"),
         )
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     out["n_docs"] = out["n_docs"].astype("int64")
     out["mean_ratio"] = (out["sum_ppm"] / (out["n_docs"] * 1e6)).round(6)
     out["min_ratio"] = (out["min_ppm"] / 1e6).round(6)
@@ -4154,7 +4151,7 @@ def train_val_test_split(sf_dir: str):
             n_docs=("n_docs", "sum")
         )
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     out["n_docs"] = out["n_docs"].astype("int64")
     return out.sort_values(["lang", "split"]).reset_index(drop=True)
 
@@ -4291,7 +4288,7 @@ def epoch_token_counts(sf_dir: str):
         out["n_docs"] = out["n_docs"].astype("int64")
         return out
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     return out.sort_values("split").reset_index(drop=True)[
         ["split", "n_docs", "total_tokens"]
     ]
@@ -4394,7 +4391,7 @@ def mixture_weights(sf_dir: str):
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("lang", as_index=False).agg(n_docs=("n_docs", "sum"))
 
-    out = two_phase(ds, partial, final).to_pandas().sort_values("lang")
+    out = two_phase(ds, partial, final).sort_values("lang")
     n = out["n_docs"].to_numpy(dtype=np.float64)
     tot = float(n.sum())
     k = len(out)
@@ -4712,7 +4709,7 @@ def mixture_resample(sf_dir: str):
     def cfinal(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("lang", as_index=False).agg(n_docs=("n_docs", "sum"))
 
-    counts = two_phase(ds, cpartial, cfinal).to_pandas()
+    counts = two_phase(ds, cpartial, cfinal)
     P = 1000000007
     mn = int(counts["n_docs"].min())
     thr = {
@@ -4739,7 +4736,7 @@ def mixture_resample(sf_dir: str):
     def kfinal(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("lang", as_index=False).agg(n_kept=("n_kept", "sum"))
 
-    kept = two_phase(docs, kpartial, kfinal).to_pandas()
+    kept = two_phase(docs, kpartial, kfinal)
     out = counts.merge(kept, on="lang", how="left").fillna({"n_kept": 0})
     out["n_docs"] = out["n_docs"].astype("int64")
     out["n_kept"] = out["n_kept"].astype("int64")
@@ -4812,7 +4809,7 @@ def gopher_quality_flags(sf_dir: str):
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("lang", as_index=False).sum()
 
-    out = two_phase(ds, partial, final).to_pandas()
+    out = two_phase(ds, partial, final)
     cols = ["n_docs", "wc_pass", "mwl_pass", "alpha_pass", "stop_pass", "all_pass"]
     for c in cols:
         out[c] = out[c].astype("int64")
@@ -5120,7 +5117,7 @@ def curation_funnel(sf_dir: str):
         def final(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({"cnt": [int(df["cnt"].sum())]})
 
-        n_back = int(two_phase(back, partial, final).to_pandas()["cnt"].iloc[0])
+        n_back = int(two_phase(back, partial, final)["cnt"].iloc[0])
     else:
         # nothing passed the quality filter: read_parquet([]) raises, and
         # an empty funnel (exported = 0) is a legitimate outcome
@@ -5170,7 +5167,7 @@ def embedding_cluster_sizes(sf_dir: str, num_centroids: int = 16):
         g["n"] = g["n"].astype("int64")
         return g[["cluster", "n", "mean_cos_to_centroid"]]
 
-    out = two_phase(ds, assign, final, batch_size=None).to_pandas()
+    out = two_phase(ds, assign, final)
     return out.sort_values("cluster").reset_index(drop=True)
 
 
@@ -5192,13 +5189,14 @@ def semdedup_prune(
     hash-routes (vec_id, cluster, vector) rows; vectors co-locate ONCE,
     partitioned by cluster — the whole point of SemDeDup is that pairwise
     work is bounded by the cluster, never the corpus.  Per cluster one
-    n×n block matmul + vectorized min-label propagation (no Python-loop
-    union-find); clusters beyond ``max_cluster`` dedup within sorted-id
+    n×n block matmul + vectorized hook-and-shortcut labeling (no
+    Python-loop union-find); clusters beyond ``max_cluster`` dedup within sorted-id
     chunks (the same chain-cap stance as the LSH degenerate buckets —
     documented recall loss instead of an n² blowup).  Rows-only oracle:
     centroids are data-dependent (but seeded, so the result is
     deterministic and the driver's rows gate is stable)."""
     from q_digest_ray.stages.ann import _matrix, _normalize, train_centroids
+    from q_digest_ray.stages.concomp import dense_component_labels
 
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     cents = train_centroids(ds, "embedding", num_centroids=num_centroids)
@@ -5227,17 +5225,11 @@ def semdedup_prune(
         )
 
     def _prune_chunk(ids, cos_c, m):
-        """(kept_mask) for one ≤max_cluster chunk: transitive closure of
-        the cos≥τ graph by vectorized min-label propagation, then keep
-        argmin cos-to-centroid per component (tie: min id)."""
+        """(kept_mask) for one ≤max_cluster chunk: components of the cos≥τ
+        graph (stages/concomp.dense_component_labels), then keep argmin
+        cos-to-centroid per component (tie: min id)."""
         n = len(ids)
-        adj = (m @ m.T) >= threshold  # includes self
-        labels = np.arange(n)
-        while True:
-            spread = np.where(adj, labels[None, :], n).min(axis=1)
-            if np.array_equal(spread, labels):
-                break
-            labels = spread
+        labels = dense_component_labels((m @ m.T) >= threshold)
         # keep rule: per component, lowest cos_c, tie min id — first row of
         # each label run under a (label, cos_c, id) lexsort
         order = np.lexsort((ids, cos_c, labels))
@@ -5294,7 +5286,7 @@ def langid_counts(sf_dir: str):
     def final(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("pred_lang", as_index=False).agg(cnt=("cnt", "sum"))
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["cnt"] = df["cnt"].astype("int64")
     return df.sort_values("pred_lang").reset_index(drop=True)
 
@@ -5321,7 +5313,7 @@ def fingerprint_stats(sf_dir: str):
         g["avg_fp_per_doc"] = (g["total_fp"] / g["n_docs"]).round(4)
         return g[["lang", "total_fp", "avg_fp_per_doc"]]
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["total_fp"] = df["total_fp"].astype("int64")
     return df.sort_values("lang").reset_index(drop=True)
 
@@ -5331,20 +5323,12 @@ def fingerprint_stats(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 
-def _sketch_stats(sf_dir: str, table: str, columns: list[str], specs, merge_transform=None):
-    """Build + merge + finalize (the exact flagship flattening, reused).
-
-    ``merge_transform`` (e.g. ``stages.merge.desalt``) is applied to the
-    merged sketch-row Dataset before collection — the hook salted builds
-    need, so they share this plumbing instead of inlining it."""
+def _sketch_stats(sf_dir: str, table: str, columns: list[str], specs):
+    """Build + merge + finalize (the exact flagship flattening, reused)."""
     from q_digest_ray.pipelines.flagship import finalize
 
     ds = read_table(sf_dir, table, columns=columns)
-    rows = build_sketches(ds, specs)
-    merged = merge_grouped(rows)
-    if merge_transform is not None:
-        merged = merge_transform(merged)
-    return finalize(collect_sketches(merged))
+    return finalize(collect_sketches(merge_grouped(build_sketches(ds, specs))))
 
 
 def sk_qdigest_nchars(sf_dir: str):
@@ -5702,7 +5686,7 @@ def sk_drift_monitor(sf_dir: str):
         def f_minmax(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({"lo": [df["lo"].min()], "hi": [df["hi"].max()]})
 
-        mm = two_phase(mm_ds, p_minmax, f_minmax).to_pandas()
+        mm = two_phase(mm_ds, p_minmax, f_minmax)
         mid = (int(mm["lo"].iloc[0]) + int(mm["hi"].iloc[0])) // 2
 
     ds = read_table(
@@ -5794,7 +5778,7 @@ def sk_bloom_membership(sf_dir: str):
         )
 
     probe_ds = read_table(sf_dir, "documents", columns=["doc_id"])
-    return two_phase(probe_ds, prober, final, batch_size=None).to_pandas()
+    return two_phase(probe_ds, prober, final)
 
 
 def customer_nation_revenue(sf_dir: str, num_buckets: int | None = None):
@@ -5834,7 +5818,7 @@ def customer_nation_revenue(sf_dir: str, num_buckets: int | None = None):
         g["c_nationkey"] = g["c_nationkey"].astype("int64")
         return g[["c_nationkey", "revenue", "n_orders"]]
 
-    df = two_phase(joined, partial, final, batch_size=None).to_pandas()
+    df = two_phase(joined, partial, final)
     return df.sort_values("c_nationkey").reset_index(drop=True)
 
 
@@ -5970,7 +5954,7 @@ def nchars_quantiles_by_lang(sf_dir: str):
             rows.append(row)
         return pd.DataFrame(rows, columns=["lang", "p50", "p90", "p99"])
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     return df.sort_values("lang").reset_index(drop=True)
 
 
@@ -6012,7 +5996,7 @@ def top_docs_per_lang(sf_dir: str, k: int = 3):
         out["rn"] = out.groupby("lang", sort=False).cumcount() + 1
         return out[["lang", "rn", "doc_id", "n_chars"]]
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     for c in ("rn", "doc_id", "n_chars"):
         df[c] = df[c].astype("int64")
     return df.sort_values(["lang", "rn"]).reset_index(drop=True)
@@ -6251,7 +6235,7 @@ def docs_vs_lang_median(sf_dir: str):
         g["n_docs"] = g["n_docs"].astype("int64")
         return g
 
-    out = two_phase(ds, tagger, final, batch_size=None).to_pandas()
+    out = two_phase(ds, tagger, final)
     out = out.merge(medians, on="lang")
     out["p50"] = out["p50"].astype("int64")
     return (
@@ -6304,8 +6288,7 @@ def sk_decile_binning(sf_dir: str):
         return g
 
     out = (
-        two_phase(ds, binner, final, batch_size=None)
-        .to_pandas()
+        two_phase(ds, binner, final)
         .sort_values("decile")
         .reset_index(drop=True)
     )
@@ -6393,7 +6376,7 @@ def sk_quality_blend(sf_dir: str):
             n_docs=("n_docs", "sum"), sum_s=("sum_s", "sum"), n_hi=("n_hi", "sum")
         )
 
-    out = two_phase(sig, score, final, batch_size=None).to_pandas()
+    out = two_phase(sig, score, final)
     out["n_docs"] = out["n_docs"].astype("int64")
     out["n_hi"] = out["n_hi"].astype("int64")
     out["mean_score"] = (out["sum_s"] / (out["n_docs"] * 200.0)).round(6)
@@ -6455,7 +6438,7 @@ def sk_robust_outliers(sf_dir: str, k_mad: float = 3.0):
             {"n": [df["n"].sum()], "n_out": [df["n_out"].sum()]}
         )
 
-    out = two_phase(cents_ds, flag, final, batch_size=None).to_pandas()
+    out = two_phase(cents_ds, flag, final)
     return pd.DataFrame(
         {
             "median_cents": [round(med, 1)],
@@ -6523,7 +6506,7 @@ def sk_unigram_logprob_quality(sf_dir: str):
         g["n_docs"] = g["c"].astype("int64")
         return g[["lang", "mean_surprisal_bits", "n_docs"]]
 
-    out = two_phase(ds, scorer, final, batch_size=None).to_pandas()
+    out = two_phase(ds, scorer, final)
     return out.sort_values("lang").reset_index(drop=True)
 
 
@@ -6547,7 +6530,7 @@ def sk_rank_error_by_lang(sf_dir: str):
             cnt=("n_chars_count", "sum")
         )
 
-    hist = two_phase(ds, partial, final).to_pandas()
+    hist = two_phase(ds, partial, final)
     rows_sk = build_sketches(
         ds,
         [
@@ -6659,34 +6642,6 @@ def sk_sample_users(sf_dir: str):
     )
 
 
-def sk_qdigest_by_lang_salted(sf_dir: str):
-    """Skew-salted grouped sketch build THROUGH the catalog: each lang
-    group splits into 4 salted sub-groups built in parallel
-    (SketchSpec(salt=4) — the hot-key treatment for Zipf langs/hosts),
-    then ``desalt`` re-merges exactly (sketch merge is associative, so
-    results are identical to the unsalted build — asserted in
-    tests/test_skew_and_stateful.py and checkable here against
-    sk_qdigest_nchars_by_lang)."""
-    from q_digest_ray.stages.merge import desalt
-
-    return _sketch_stats(
-        sf_dir,
-        "documents",
-        ["n_chars", "lang"],
-        [
-            SketchSpec(
-                "n_chars_by_lang",
-                "n_chars",
-                "qdigest",
-                {"k": 256, "universe_bits": 16},
-                group_by="lang",
-                salt=4,
-            )
-        ],
-        merge_transform=desalt,
-    )
-
-
 def video_shot_stats(
     sf_dir: str, n_videos: int = 200, n_frames: int = 60, thresh: float = 40.0
 ):
@@ -6748,7 +6703,7 @@ def video_shot_stats(
         )
 
     ds = ray.data.range(n_videos, override_num_blocks=8)
-    out = two_phase(ds, analyze, final, batch_size=None).to_pandas()
+    out = two_phase(ds, analyze, final)
     r = out.iloc[0]
     return pd.DataFrame(
         {
@@ -6812,7 +6767,7 @@ def audio_fingerprint_dups(sf_dir: str, n_media: int = 1000):
             fam_mask=("fam_mask", lambda s: int(np.bitwise_or.reduce(s))),
         )
 
-    g = two_phase(feats, partial, final, batch_size=None).to_pandas()
+    g = two_phase(feats, partial, final)
     popcounts = np.array([bin(int(m)).count("1") for m in g["fam_mask"]])
     return pd.DataFrame(
         {
@@ -7094,7 +7049,7 @@ def corr_quantity_price(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    df = two_phase(ds, partial, final, batch_size=65536).to_pandas()
+    df = two_phase(ds, partial, final)
     df["n"] = df["n"].astype("int64")
     return df.sort_values("l_returnflag").reset_index(drop=True)
 
@@ -7288,7 +7243,7 @@ def shipping_priority(sf_dir: str, num_buckets: int | None = None):
             ["revenue", "o_orderdate", "l_orderkey"], ascending=[False, True, True]
         ).head(10)
 
-    out = two_phase(joined, partial, final, batch_size=None).to_pandas()
+    out = two_phase(joined, partial, final)
     if out.empty:
         return pd.DataFrame(
             {
@@ -7348,7 +7303,7 @@ def lang_source_matrix(sf_dir: str):
         mat["total"] = totals.reindex(mat.index)
         return mat.reset_index()
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     return df.sort_values("source").reset_index(drop=True)
 
 
@@ -7394,7 +7349,7 @@ def source_lang_entropy(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["n_langs"] = df["n_langs"].astype("int64")
     return df.sort_values("source").reset_index(drop=True)
 
@@ -7458,7 +7413,7 @@ def inter_event_gaps(sf_dir: str, num_buckets: int | None = None):
         .groupby("bucket")
         .map_groups(per_bucket, batch_format="pandas")
     )
-    df = parts.repartition(1).map_batches(final, batch_format="pandas", batch_size=None).to_pandas()
+    df = fold_on_driver(parts, final)
     df["n_gaps"] = df["n_gaps"].astype("int64")
     return df.sort_values("event_type").reset_index(drop=True)
 
@@ -7548,7 +7503,7 @@ def mode_priority_by_status(sf_dir: str):
         top = g.groupby("o_orderstatus", as_index=False).first()
         return top.rename(columns={"o_orderpriority": "top_priority"})
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     df["n_orders"] = df["n_orders"].astype("int64")
     return (
         df[["o_orderstatus", "top_priority", "n_orders"]]
@@ -7677,7 +7632,7 @@ def decayed_counts(sf_dir: str):
         g["n_events"] = g["n"].astype("int64")
         return g[["event_type", "decayed_count", "n_events"]]
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     return df.sort_values("event_type").reset_index(drop=True)
 
 
@@ -7749,7 +7704,7 @@ def price_histogram(sf_dir: str):
         g["n_orders"] = g["n_orders"].astype("int64")
         return g
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     return df.sort_values("bin_lo").reset_index(drop=True)
 
 
@@ -7852,7 +7807,7 @@ def weighted_sample_docs(sf_dir: str, k: int = 50):
         out["priority"] = out["priority"].round(10)
         return out.reset_index(drop=True)
 
-    return two_phase(ds, partial, final, batch_size=None).to_pandas()
+    return two_phase(ds, partial, final)
 
 
 def sk_skew_f2(sf_dir: str):
@@ -7861,8 +7816,9 @@ def sk_skew_f2(sf_dir: str):
     (one map-only sketch pass), beside the exact F₂ from the usual
     per-batch count partials.  The normalized ratio n·F₂/(Σf)² = n·F₂/n²
     is 1.0 for a perfectly uniform key distribution and grows with skew —
-    the cheap pre-flight a pipeline runs to decide whether a key needs
-    salting (SketchSpec(salt=...)) BEFORE paying for a skewed shuffle."""
+    the cheap pre-flight a pipeline runs to decide whether a hot join key
+    needs salting or more buckets (stages/join.bucketed_join) BEFORE
+    paying for a skewed shuffle."""
     params = {"depth": 5, "width": 1 << 15}
     ev = read_table(sf_dir, "events", columns=["user_id"])
     cms = collect_sketches(
@@ -7886,7 +7842,7 @@ def sk_skew_f2(sf_dir: str):
             }
         )
 
-    ex = two_phase(ev, partial, final).to_pandas()
+    ex = two_phase(ev, partial, final)
     f2_exact, d = int(ex["f2_exact"][0]), int(ex["n_keys"][0])
     n = int(cms.n)
     # D·F₂/n² = 1 for a perfectly uniform distribution, > 1 with skew
@@ -7949,7 +7905,7 @@ def sk_csk_join_size(sf_dir: str):
         exact = int((fv.astype(object) * fp.astype(object)).sum())
         return pd.DataFrame({"join_size_exact": [exact]})
 
-    exact = int(two_phase(ev, partial, final).to_pandas()["join_size_exact"][0])
+    exact = int(two_phase(ev, partial, final)["join_size_exact"][0])
     return pd.DataFrame(
         {
             "join_size_est": [int(est)],
@@ -8119,7 +8075,7 @@ def zscore_outliers(sf_dir: str):
             rows.append({"lang": lang, "m": m, "sd": sd})
         return pd.DataFrame(rows)
 
-    stats = two_phase(ds, moments, stats_final).to_pandas()
+    stats = two_phase(ds, moments, stats_final)
     stats_ref = ray.put(
         dict(zip(stats["lang"], zip(stats["m"], stats["sd"])))
     )
@@ -8145,7 +8101,7 @@ def zscore_outliers(sf_dir: str):
         )
         return g
 
-    out = two_phase(ds, tag, final, batch_size=None).to_pandas()
+    out = two_phase(ds, tag, final)
     out["n_outliers"] = out["n_outliers"].astype("int64")
     out["n_docs"] = out["n_docs"].astype("int64")
     return out.sort_values("lang").reset_index(drop=True)
@@ -8216,7 +8172,7 @@ def mad_nchars_by_lang(sf_dir: str):
             )
         return pd.DataFrame(rows)
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     return df.sort_values("lang").reset_index(drop=True)
 
 
@@ -8375,7 +8331,7 @@ def embedding_centroid_norms(sf_dir: str):
             }
         )
 
-    df = two_phase(ds, partial, final).to_pandas()
+    df = two_phase(ds, partial, final)
     return df.sort_values("label").reset_index(drop=True)
 
 
@@ -8725,7 +8681,6 @@ SKETCH_QUERIES = {
     "sk_incremental_build": sk_incremental_build,
     "sk_kmv_user_overlap": sk_kmv_user_overlap,
     "sk_bloom_membership": sk_bloom_membership,
-    "sk_qdigest_by_lang_salted": sk_qdigest_by_lang_salted,
     "sk_sample_users": sk_sample_users,
     "sk_decile_binning": sk_decile_binning,
     "sk_unigram_logprob_quality": sk_unigram_logprob_quality,

@@ -28,6 +28,12 @@ def resolve_table_paths(sf_dir: str, name: str) -> list[str]:
 # decompress 3-5x bigger, use sources.textio.ROW_BYTES_PER_BLOCK
 PARQUET_BYTES_PER_BLOCK = 8 << 20
 
+# rows per table the Parquet reader yields.  Ray's default is at most 10,000
+# (PARQUET_READER_ROW_BATCH_SIZE), and a fused ``batch_size=None`` UDF
+# (stages/agg.two_phase, the sketch build) runs once per such table: on
+# 150k ``orders`` rows that was 15 partial calls instead of 3
+READ_BATCH_ROWS = 65536
+
 
 def cluster_cpus() -> int | None:
     """CPU count of the running Ray session, or None when none is up.  Never
@@ -65,12 +71,16 @@ def read_table(
 ) -> "ray.data.Dataset":
     """read_parquet with column pruning (only requested columns leave
     storage), accepting single-file AND sharded-directory table layouts
-    (see resolve_table_paths / derive_num_blocks)."""
+    (see resolve_table_paths / derive_num_blocks), in batches of
+    ``READ_BATCH_ROWS`` rows."""
     paths = resolve_table_paths(sf_dir, name)
     if override_num_blocks is None:
         override_num_blocks = derive_num_blocks(paths, cluster_cpus())
     return ray.data.read_parquet(
-        paths, columns=columns, override_num_blocks=override_num_blocks
+        paths,
+        columns=columns,
+        override_num_blocks=override_num_blocks,
+        batch_size=READ_BATCH_ROWS,
     )
 
 

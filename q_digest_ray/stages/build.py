@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from q_digest_ray.functions.hashing import hash64
 from q_digest_ray.sketches.base import sketch_class
@@ -34,21 +33,13 @@ GLOBAL_KEY = ""
 
 @dataclass(frozen=True)
 class SketchSpec:
-    """One sketch to maintain over one column, optionally grouped.
-
-    ``salt`` > 0 splits each group into ``salt`` sub-groups keyed by a row
-    hash ("en#3") — the skew-handling path for hot keys (north rule): the
-    salted partials merge in parallel, and because sketch merge is
-    exact-associative a later de-salt merge (stages/merge.desalt) restores
-    per-key results exactly.
-    """
+    """One sketch to maintain over one column, optionally grouped."""
 
     metric: str  # output name, unique per spec
     column: str  # input column
     kind: str  # a registered sketch kind (sketches.base.sketch_class)
     params: dict = field(default_factory=dict)
     group_by: str | None = None  # group column (small cardinality) or None
-    salt: int = 0
     # weighted inserts (reference insert(key, count), src/qcore.c:201): each
     # row's value counts weight_column times — the pre-aggregated-histogram
     # path (the class's ``weighted`` says which kinds take weights)
@@ -103,11 +94,6 @@ def _groups(batch: pa.Table, spec: SketchSpec):
     if gcol.null_count:
         valid_idx = np.flatnonzero(gcol.is_valid().to_numpy(zero_copy_only=False))
         gcol = gcol.take(pa.array(valid_idx))
-    if spec.salt > 0:
-        salts = (hash64(gcol, seed=97) ^ np.arange(len(gcol), dtype=np.uint64)) % np.uint64(spec.salt)
-        gcol = pc.binary_join_element_wise(
-            gcol, pc.cast(pa.array(salts.astype(np.int64)), pa.string()), "#"
-        )
     enc = gcol.dictionary_encode()
     codes = enc.indices.to_numpy(zero_copy_only=False)
     labels = enc.dictionary.to_pylist()

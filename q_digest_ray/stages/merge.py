@@ -18,15 +18,14 @@ there; the authoritative semantics are serial merge(), src/qcore.c:390-417):
 
 Payloads are O(k) bytes, so the fold is metadata-cheap by design; skewed
 group keys are irrelevant here because pre-combining bounds every group's
-row count at the number of blocks, not the number of input rows (salting
-is unnecessary for sketch rows — mergeability already collapsed the data).
+row count at the number of blocks, not the number of input rows (a hot
+key needs no splitting — mergeability already collapsed the data).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from q_digest_ray.sketches.base import sketch_class, sketch_from_bytes
 
@@ -117,23 +116,6 @@ def merge_grouped(sketch_rows_ds):
             combine_sketch_rows, batch_format="pyarrow", batch_size=None
         )
     return ds
-
-
-def desalt(merged_ds):
-    """Second-level merge for salted group keys ("en#3" → "en").
-
-    Exact because sketch merge is associative: merging the per-salt partial
-    sketches yields the identical result to an unsalted single-level merge
-    (property-tested in tests/test_skew_and_stateful.py).
-    """
-
-    def strip(batch: pa.Table) -> pa.Table:
-        key = pc.replace_substring_regex(batch["group_key"], r"#\d+$", "")
-        return batch.set_column(
-            batch.schema.get_field_index("group_key"), "group_key", key
-        )
-
-    return merge_grouped(merged_ds.map_batches(strip, batch_format="pyarrow"))
 
 
 def collect_sketches(merged_ds) -> dict[tuple[str, str], object]:

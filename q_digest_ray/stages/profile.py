@@ -155,7 +155,7 @@ def profile_table(ds, columns: list[str], num_buckets: int | None = None) -> pd.
             )
         return pd.DataFrame(rows)
 
-    stats = two_phase(ds, stats_partial, stats_final).to_pandas()
+    stats = two_phase(ds, stats_partial, stats_final)
     stats["n_distinct"] = stats["col_name"].map(
         {name: int(n_distinct.get(ci, 0)) for ci, name in enumerate(cols)}
     )

@@ -52,7 +52,7 @@ def sketch_aggregate(
     ``finalize`` maps the merged sketch to the result cell (e.g.
     ``lambda sk: sk.quantile(0.99)``); default is the serialized sketch
     bytes, decodable with ``sketches.base.sketch_from_bytes(spec.kind, b)``.
-    ``spec.group_by``/``spec.salt`` are ignored here — grouping belongs to
+    ``spec.group_by`` is ignored here — grouping belongs to
     ``ds.groupby(...)`` on this surface.
     """
     cls = sketch_class(spec.kind)

@@ -587,18 +587,6 @@ def test_estimate_num_blocks_public_api(ray_session):
     assert estimate_num_blocks(lazy) >= 1  # input-file fallback, no execution
 
 
-def test_salted_catalog_query_matches_unsalted(ray_session, sf_dir):
-    from q_digest_ray.pipelines.queries import (
-        sk_qdigest_by_lang_salted,
-        sk_qdigest_nchars_by_lang,
-    )
-
-    pd.testing.assert_frame_equal(
-        sk_qdigest_by_lang_salted(sf_dir).reset_index(drop=True),
-        sk_qdigest_nchars_by_lang(sf_dir).reset_index(drop=True),
-    )
-
-
 # ---------------------------------------------------------------------------
 # SampleSketch (deterministic mergeable distinct-value sample)
 # ---------------------------------------------------------------------------
