@@ -104,14 +104,14 @@ def finalize(sketches: dict[tuple[str, str], object]) -> pd.DataFrame:
     return pd.DataFrame(rows, columns=["metric", "group_key", "stat", "value"])
 
 
-def run_documents_flagship(sf_dir: str, batch_size: int | None = None) -> pd.DataFrame:
+def run_documents_flagship(sf_dir: str) -> pd.DataFrame:
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text", "lang", "n_chars"])
-    rows = build_sketches(ds, documents_specs(), batch_size=batch_size)
+    rows = build_sketches(ds, documents_specs())
     merged = merge_grouped(rows)
     return finalize(collect_sketches(merged))
 
 
-def run_cc_pages_flagship(cc_dir: str, batch_size: int | None = None) -> pd.DataFrame:
+def run_cc_pages_flagship(cc_dir: str) -> pd.DataFrame:
     """The bench headline: extraction + projection + 14 sketches (all
     eleven families, incl. the beyond-spec KMV / Misra-Gries / SampleSketch
     / DDSketch / Count-Sketch) over the synthetic Common-Crawl table."""
@@ -121,9 +121,9 @@ def run_cc_pages_flagship(cc_dir: str, batch_size: int | None = None) -> pd.Data
     ds = ds.map_batches(
         extract_and_project,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         zero_copy_batch=True,
     )
-    rows = build_sketches(ds, cc_pages_specs(), batch_size=batch_size)
+    rows = build_sketches(ds, cc_pages_specs())
     merged = merge_grouped(rows)
     return finalize(collect_sketches(merged))

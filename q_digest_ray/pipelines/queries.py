@@ -5,8 +5,9 @@ Two families:
 - **Exact queries** — each returns the same rows/columns as its ANSI-SQL
   oracle (run by the driver in DuckDB at sf0.01).  All use the same physical
   recipe: prune columns at the read, vectorized per-batch partial
-  aggregation inside ``map_batches`` (the combiner), then one small
-  ``groupby().aggregate`` shuffle over partials — never a row-level shuffle.
+  aggregation fused into the read task (the combiner), then one final over
+  the tiny partials on the driver (``stages/agg.two_phase``) — never a
+  row-level shuffle.
   Floating aggregates are rounded identically on both sides so value-hash
   comparison is stable.
 
@@ -622,32 +623,29 @@ FROM documents GROUP BY lang ORDER BY lang
 """
 
 
-def ann_topk(sf_dir: str):
-    """Brute-force cosine top-k over the embedding column: the query vector
-    is broadcast once; each batch is one numpy matmul (the baseline ANN
-    path; LSH-bucketed variant in stages/ann.py)."""
-    # row-filtered driver read: only the query row's row group leaves storage
+def _ann_query(sf_dir: str):
+    """(query vector, corpus Dataset) for the ANN catalog queries: the
+    query is vec_id 0's embedding, the corpus every other embeddings row.
+    The query comes from a row-filtered driver read, so only its row group
+    leaves storage."""
     emb = read_table_arrow(
         sf_dir, "embeddings", columns=["vec_id", "embedding"], filters=[("vec_id", "==", 0)]
     )
     qvec = np.array(emb["embedding"].to_pylist()[0], dtype=np.float64)
+    corpus = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"]).map_batches(
+        lambda b: b.filter(pc.not_equal(b["vec_id"], pa.scalar(0))), batch_format="pyarrow"
+    )
+    return qvec, corpus
+
+
+def ann_topk(sf_dir: str):
+    """Brute-force cosine top-k over the embedding column (the baseline ANN
+    path, stages/ann.brute_force_topk): its vec_id tie-break matches the
+    oracle's ORDER BY cos DESC, vec_id ASC."""
     from q_digest_ray.stages.ann import brute_force_topk
 
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def drop_query(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.not_equal(batch["vec_id"], pa.scalar(0)))
-
-    # shared helper carries the per-batch prune + final sort with the
-    # vec_id tie-break matching the oracle's ORDER BY cos DESC, vec_id ASC
-    top = brute_force_topk(
-        ds.map_batches(drop_query, batch_format="pyarrow"),
-        "vec_id",
-        "embedding",
-        qvec,
-        k=10,
-    )
-    return top[["vec_id", "cos_sim"]].reset_index(drop=True)
+    qvec, corpus = _ann_query(sf_dir)
+    return brute_force_topk(corpus, "vec_id", "embedding", qvec, k=10)
 
 
 ANN_TOPK_SQL = """
@@ -4947,24 +4945,8 @@ def embedding_near_dups(sf_dir: str):
 def ann_lsh_topk(sf_dir: str):
     from q_digest_ray.stages.ann import lsh_topk
 
-    emb = read_table_arrow(
-        sf_dir, "embeddings", columns=["vec_id", "embedding"], filters=[("vec_id", "==", 0)]
-    )
-    qvec = np.array(emb["embedding"].to_pylist()[0], dtype=np.float64)
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def drop_query(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.not_equal(batch["vec_id"], pa.scalar(0)))
-
-    return lsh_topk(
-        ds.map_batches(drop_query, batch_format="pyarrow"),
-        "vec_id",
-        "embedding",
-        qvec,
-        k=10,
-        num_planes=8,
-        probe_hamming=3,
-    )
+    qvec, corpus = _ann_query(sf_dir)
+    return lsh_topk(corpus, "vec_id", "embedding", qvec, k=10, num_planes=8, probe_hamming=3)
 
 
 def ann_pq_topk(sf_dir: str):
@@ -4974,56 +4956,22 @@ def ann_pq_topk(sf_dir: str):
     in tests."""
     from q_digest_ray.stages.ann import pq_topk
 
-    emb = read_table_arrow(
-        sf_dir,
-        "embeddings",
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "==", 0)],
-    )
-    qvec = np.array(emb["embedding"].to_pylist()[0], dtype=np.float64)
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def drop_query(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.not_equal(batch["vec_id"], pa.scalar(0)))
-
+    qvec, corpus = _ann_query(sf_dir)
     # rerank=8: 80 exact-rerank candidates per batch — negligible per-block
     # cost, and it is what recovers recall on unclustered (random) vectors
     # where ADC distortion is worst (recall sweep in tests/test_round4b.py)
-    return pq_topk(
-        ds.map_batches(drop_query, batch_format="pyarrow"),
-        "vec_id",
-        "embedding",
-        qvec,
-        k=10,
-        rerank=8,
-    )
+    return pq_topk(corpus, "vec_id", "embedding", qvec, k=10, rerank=8)
 
 
 def ann_ivf_topk(sf_dir: str):
     """IVF approximate top-k: coarse k-means centroids trained on a bounded
     sample, then only the nprobe nearest inverted lists are scanned — the
-    partition-pruned ANN scale path (materialized-index variant with
-    per-centroid parquet partitions: stages/ann.build_ivf_index)."""
+    partition-pruned ANN scale path (its materialized, partition-pruned
+    form is the IVF-PQ index: ann_ivfpq_topk)."""
     from q_digest_ray.stages.ann import ivf_topk
 
-    emb = read_table_arrow(
-        sf_dir, "embeddings", columns=["vec_id", "embedding"], filters=[("vec_id", "==", 0)]
-    )
-    qvec = np.array(emb["embedding"].to_pylist()[0], dtype=np.float64)
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def drop_query(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.not_equal(batch["vec_id"], pa.scalar(0)))
-
-    return ivf_topk(
-        ds.map_batches(drop_query, batch_format="pyarrow"),
-        "vec_id",
-        "embedding",
-        qvec,
-        k=10,
-        num_centroids=32,
-        nprobe=8,
-    )
+    qvec, corpus = _ann_query(sf_dir)
+    return ivf_topk(corpus, "vec_id", "embedding", qvec, k=10, num_centroids=32, nprobe=8)
 
 
 def ann_ivfpq_topk(sf_dir: str):
@@ -5042,28 +4990,10 @@ def ann_ivfpq_topk(sf_dir: str):
         ivfpq_probe_paths,
     )
 
-    emb = read_table_arrow(
-        sf_dir,
-        "embeddings",
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "==", 0)],
-    )
-    qvec = np.array(emb["embedding"].to_pylist()[0], dtype=np.float64)
-    ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-
-    def drop_query(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.not_equal(batch["vec_id"], pa.scalar(0)))
-
+    qvec, corpus = _ann_query(sf_dir)
     idx_dir = tempfile.mkdtemp(prefix="qdr_ivfpq_")
     try:
-        build_ivfpq_index(
-            ds.map_batches(drop_query, batch_format="pyarrow"),
-            "vec_id",
-            "embedding",
-            idx_dir,
-            num_centroids=32,
-            m=8,
-        )
+        build_ivfpq_index(corpus, "vec_id", "embedding", idx_dir, num_centroids=32, m=8)
         out = ivfpq_index_topk(
             idx_dir, "vec_id", "embedding", qvec, k=10, nprobe=8, rerank=8
         )
@@ -5144,18 +5074,21 @@ def embedding_cluster_sizes(sf_dir: str, num_centroids: int = 16):
     batch with one matmul, two-phase per-cluster counts + mean cosine to
     centroid.  Rows-only (data-dependent centroids, but deterministic:
     fixed seed + strided sample)."""
-    from q_digest_ray.stages.ann import _matrix, _normalize, train_centroids
+    from q_digest_ray.stages.ann import (
+        _matrix,
+        _normalize,
+        assign_centroids,
+        sample_vectors,
+        train_centroids,
+    )
 
     ds = read_table(sf_dir, "embeddings", columns=["embedding"])
-    cents = train_centroids(ds, "embedding", num_centroids=num_centroids)
+    cents = train_centroids(sample_vectors(ds, "embedding"), num_centroids)
     cref = ray.put(cents)
 
     def assign(batch: pa.Table) -> pd.DataFrame:
         c = ray.get(cref)  # zero-copy local get; no actor pool needed
-        m = _normalize(_matrix(batch["embedding"]))
-        sims = m @ c.T
-        a = np.argmax(sims, axis=1)
-        best = sims[np.arange(len(a)), a]
+        a, best = assign_centroids(_normalize(_matrix(batch["embedding"])), c)
         df = pd.DataFrame({"cluster": a.astype(np.int64), "s": best})
         return df.groupby("cluster", as_index=False).agg(
             n=("s", "size"), s=("s", "sum")
@@ -5195,19 +5128,24 @@ def semdedup_prune(
     documented recall loss instead of an n² blowup).  Rows-only oracle:
     centroids are data-dependent (but seeded, so the result is
     deterministic and the driver's rows gate is stable)."""
-    from q_digest_ray.stages.ann import _matrix, _normalize, train_centroids
+    from q_digest_ray.stages.ann import (
+        _matrix,
+        _normalize,
+        assign_centroids,
+        sample_vectors,
+        train_centroids,
+    )
     from q_digest_ray.stages.concomp import dense_component_labels
 
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    cents = train_centroids(ds, "embedding", num_centroids=num_centroids)
+    cents = train_centroids(sample_vectors(ds, "embedding"), num_centroids)
     cref = ray.put(cents)
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ray.get(cref)  # zero-copy local get
         m = _normalize(_matrix(batch["embedding"]))
-        sims = m @ c.T
-        a = np.argmax(sims, axis=1).astype(np.int64)
-        best = sims[np.arange(len(a)), a].astype(np.float64)
+        a, best = assign_centroids(m, c)
+        a = a.astype(np.int64)
         # zero-copy list<float> column from the flattened matrix (no
         # per-row Python list build)
         d = m.shape[1]
@@ -6129,11 +6067,14 @@ def cross_source_contamination(sf_dir: str, num_buckets: int | None = None):
         # bucket holds one row per distinct (text, source) — a per-key
         # Python loop here would be O(distinct texts) group bodies, the
         # exact anti-pattern the perf rules prohibit (r3 ADVICE item 1).
-        empty = pd.DataFrame(
+        # The empty result is a typed Arrow table: pandas has only object
+        # dtype for these strings, and an object-dtype 0-row block makes
+        # Ray's block size estimate log a `vectorize` error per block.
+        empty = pa.table(
             {
-                "source_a": pd.Series(dtype="object"),
-                "source_b": pd.Series(dtype="object"),
-                "n_shared": pd.Series(dtype="int64"),
+                "source_a": pa.array([], pa.string()),
+                "source_b": pa.array([], pa.string()),
+                "n_shared": pa.array([], pa.int64()),
             }
         )
         d = g.drop_duplicates(["h", "h2", "source"])

@@ -1,12 +1,25 @@
 """Approximate nearest neighbor over an embedding column (list<float>).
 
-- brute-force cosine top-k: baseline — broadcast the (normalized) query
-  matrix once via ray.put, one numpy matmul per batch, per-batch top-k
-  prune, global sort+limit (pipelines/queries.ann_topk uses this shape).
-- LSH-bucketed (random hyperplane): the scale path — each vector lands in
-  a 2**planes bucket; a query probes only buckets within ``probe_hamming``
-  signature distance, cutting the scanned fraction to ~sum_{d<=p} C(planes,d)
-  / 2**planes while keeping high recall (tested vs brute force).
+Every top-k here is one exact-cosine scan (``_topk_scan``): the query and
+the method's probe state are broadcast once via ray.put, each batch keeps
+the rows its probe mask selects and scores them with one numpy matmul,
+keeps its own top-k (cos desc, id asc), and the driver folds the
+per-batch candidates — the sketch path's partial → driver-fold shape.
+The methods differ only in the probe mask:
+
+- brute force: no mask — every row is scored (exact; the oracle for the
+  others and for ``pipelines/queries.ann_topk``);
+- LSH (random hyperplane): each vector lands in a 2**planes bucket; a
+  query probes only buckets within ``probe_hamming`` signature bits,
+  cutting the scanned fraction to ~sum_{d<=p} C(planes,d) / 2**planes;
+- IVF: coarse k-means centroids from a bounded sample; only vectors
+  assigned to the ``nprobe`` centroids nearest the query are scored;
+- PQ (ADC): only each batch's top ``rerank*k`` asymmetric-distance
+  candidates are exact-cosine scored.
+
+The IVF-PQ composite index (``build_ivfpq_index`` / ``ivfpq_index_topk``)
+is the materialized path: centroid-partitioned parquet read
+partition-pruned, ADC over m-byte codes, exact rerank of the candidates.
 """
 
 from __future__ import annotations
@@ -16,6 +29,14 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
+
+from q_digest_ray.stages.agg import two_phase
+
+KMEANS_ITERS = 10  # Lloyd rounds for the IVF coarse quantizer
+PQ_ITERS = 8  # Lloyd rounds per PQ subspace codebook
+PQ_SAMPLE = 2000  # PQ codebook training rows
+LSH_SEED = 17  # hyperplane draw for lsh_topk
+PQ_SEED = 31  # codebook init for pq_topk
 
 
 def _matrix(col) -> np.ndarray:
@@ -31,45 +52,155 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.where(norms == 0, 1.0, norms)
 
 
-def brute_force_topk(ds, id_col: str, vec_col: str, query: np.ndarray, k: int = 10) -> pd.DataFrame:
-    """Exact cosine top-k (the oracle for the LSH variant)."""
+def _unit(query: np.ndarray) -> np.ndarray:
     q = query.astype(np.float64)
-    q = q / np.linalg.norm(q)
-    qref = ray.put(q)
+    return q / np.linalg.norm(q)
 
-    # plain function, NOT an actor pool: the only per-task state is a
-    # broadcast ObjectRef and ray.get of a local object is zero-copy, so a
-    # pool's ~1 s spin-up would buy nothing (BASELINE.md §4 rule)
+
+def _no_hits(id_col: str) -> pd.DataFrame:
+    out = pd.DataFrame(columns=[id_col, "cos_sim"])
+    out.attrs["scanned"] = 0
+    return out
+
+
+def _nearest(cents: np.ndarray, q: np.ndarray, nprobe: int) -> np.ndarray:
+    """Indices of the ``nprobe`` centroids nearest unit query ``q``."""
+    return np.argsort(-(cents @ q))[:nprobe]
+
+
+def sample_vectors(ds, vec_col: str, size: int = 10000) -> np.ndarray:
+    """Normalized ``(<=size, d)`` sample of ``vec_col`` (``(0, 0)`` for an
+    empty corpus).
+
+    Takes evenly strided rows from EVERY block and stops at ``size`` via a
+    streaming ``limit`` — no corpus-sized ``count()`` pass.  The per-block
+    cap comes from the plan's block count so per_block x num_blocks ~=
+    size: the limit then consumes (nearly) every block, and every block
+    contributes ~equally — a fixed cap would let limit() stop after the
+    head-of-corpus blocks and bias the sample to early clusters."""
+    from q_digest_ray.stages.partitioning import estimate_num_blocks
+
+    nb = estimate_num_blocks(ds) or 64  # 0 = unknown → spread as if 64 blocks
+    per_block = max(8, size // nb)
+
+    def strided(batch: pa.Table) -> pa.Table:
+        # strided, not the head — ordered data (e.g. cluster-sorted) would
+        # otherwise bias the sample within a block
+        n = batch.num_rows
+        if n <= per_block:
+            return batch
+        idx = np.linspace(0, n - 1, per_block).astype(np.int64)
+        return batch.take(pa.array(idx))
+
+    parts = [
+        _matrix(b[vec_col])
+        for b in ds.map_batches(strided, batch_format="pyarrow", batch_size=None)
+        .limit(size)
+        .iter_batches(batch_format="pyarrow", batch_size=None)
+        if b.num_rows
+    ]
+    return _normalize(np.vstack(parts)) if parts else np.zeros((0, 0))
+
+
+def assign_centroids(m: np.ndarray, cents: np.ndarray):
+    """(nearest-centroid index, its cosine) for each normalized row of
+    ``m`` against L2-normalized centroids ``cents``."""
+    if len(m) == 0:
+        return np.zeros(0, np.int64), np.zeros(0)
+    sims = m @ cents.T
+    a = np.argmax(sims, axis=1)
+    return a, sims[np.arange(len(a)), a]
+
+
+def train_centroids(
+    sample: np.ndarray, num_centroids: int = 64, seed: int = 23
+) -> np.ndarray:
+    """Coarse k-means centroids over a normalized ``sample_vectors`` sample.
+
+    Driver memory is bounded by the sample; Lloyd iterations run on the
+    driver — standard IVF training.  Centroids are L2-normalized so the
+    assignment argmax is cosine."""
+    if len(sample) == 0:
+        return np.zeros((0, 0))
+    rng = np.random.default_rng(seed)
+    k = min(num_centroids, len(sample))
+    cents = sample[rng.choice(len(sample), k, replace=False)]
+    for _ in range(KMEANS_ITERS):
+        assign = assign_centroids(sample, cents)[0]
+        for c in range(k):
+            members = sample[assign == c]
+            if len(members):
+                v = members.mean(axis=0)
+                n = np.linalg.norm(v)
+                if n > 0:
+                    cents[c] = v / n
+    return cents
+
+
+def _topk_scan(ds, id_col: str, vec_col: str, q, k: int, keep=None, state=None) -> pd.DataFrame:
+    """Exact-cosine top-k of unit query ``q`` over the rows each batch's
+    ``keep(m, state)`` mask selects (every row when ``keep`` is None), as
+    ``[id_col, cos_sim]`` sorted cos desc, id asc, cos_sim rounded to 6;
+    ``attrs["scanned"]`` counts the rows scored.
+
+    ``(q, state)`` is broadcast once; the score is a plain function, NOT
+    an actor pool: its only per-task state is that ObjectRef and ray.get of
+    a local object is zero-copy, so a pool's ~1 s spin-up would buy
+    nothing (BASELINE.md §4 rule).  Each batch keeps its own top-k with the
+    id-ascending tie-break of the final sort (and of the SQL oracle's
+    ORDER BY cos DESC, id ASC) — a bare cosine prune could drop the row
+    the final sort would keep on a tie at the k boundary."""
+    ref = ray.put((q, state))
+
     def score(batch: pa.Table) -> pa.Table:
-        qv = ray.get(qref)
+        qv, st = ray.get(ref)
         m = _normalize(_matrix(batch[vec_col]))
-        cos = m @ qv
-        t = pa.table({id_col: batch[id_col], "cos_sim": pa.array(cos)})
-        if t.num_rows > k:
-            import pyarrow.compute as pc
+        rows = np.arange(len(m))
+        if len(m) and keep is not None:
+            rows = np.flatnonzero(keep(m, st))
+            m = m[rows]
+        cos = m @ qv if len(rows) else np.zeros(0)
+        ids = batch[id_col].to_numpy(zero_copy_only=False)[rows]
+        order = np.lexsort((ids, -cos))[:k]
+        # scanned rides on the batch's first row only, so the fold's sum is
+        # the true scored count, not k x it
+        scanned = np.zeros(len(order), dtype=np.int64)
+        scanned[:1] = len(rows)
+        return pa.table(
+            {
+                id_col: batch[id_col].take(pa.array(rows[order])),
+                "cos_sim": pa.array(cos[order]),
+                "scanned": pa.array(scanned),
+            }
+        )
 
-            # id tie-break must match the final sort (and the SQL
-            # oracle's ORDER BY cos DESC, id ASC) — without it the
-            # correct row can be discarded in the batch prune
-            idx = pc.select_k_unstable(
-                t, k=k, sort_keys=[("cos_sim", "descending"), (id_col, "ascending")]
-            )
-            t = t.take(idx)
-        return t
+    def fold(df: pd.DataFrame) -> pd.DataFrame:
+        out = (
+            df.sort_values(["cos_sim", id_col], ascending=[False, True])
+            .head(k)[[id_col, "cos_sim"]]
+            .reset_index(drop=True)
+        )
+        out["cos_sim"] = out["cos_sim"].round(6)
+        out.attrs["scanned"] = int(df["scanned"].sum())
+        return out
 
-    out = (
-        ds.map_batches(score, batch_format="pyarrow")
-        .sort(["cos_sim", id_col], descending=[True, False])
-        .limit(k)
-        .to_pandas()
-    )
-    out["cos_sim"] = out["cos_sim"].round(6)
-    return out.reset_index(drop=True)
+    out = two_phase(ds, score, fold)
+    return _no_hits(id_col) if out.columns.empty else out
+
+
+def brute_force_topk(ds, id_col: str, vec_col: str, query: np.ndarray, k: int = 10) -> pd.DataFrame:
+    """Exact cosine top-k (the oracle for the approximate variants)."""
+    return _topk_scan(ds, id_col, vec_col, _unit(query), k)
 
 
 def _signatures(m: np.ndarray, planes: np.ndarray) -> np.ndarray:
     signs = (m @ planes) > 0
     return (signs.astype(np.uint64) << np.arange(planes.shape[1], dtype=np.uint64)[None, :]).sum(axis=1)
+
+
+def _lsh_keep(m: np.ndarray, state) -> np.ndarray:
+    planes, qsig, pop, probe_hamming = state
+    return pop[(_signatures(m, planes) ^ np.uint64(qsig)).astype(np.int64)] <= probe_hamming
 
 
 def lsh_topk(
@@ -80,132 +211,23 @@ def lsh_topk(
     k: int = 10,
     num_planes: int = 8,
     probe_hamming: int = 2,
-    seed: int = 17,
 ) -> pd.DataFrame:
     """LSH-bucketed approximate top-k: score only vectors whose signature is
-    within ``probe_hamming`` bits of the query's (multi-probe).  Hyperplanes
-    are broadcast once; bucket filtering happens inside each batch so no
-    shuffle is added."""
-    dim = len(query)
-    rng = np.random.default_rng(seed)
-    planes = rng.normal(size=(dim, num_planes))
-    q = query.astype(np.float64)
-    q = q / np.linalg.norm(q)
+    within ``probe_hamming`` bits of the query's (multi-probe).  Bucket
+    filtering happens inside each batch, so no shuffle is added."""
+    planes = np.random.default_rng(LSH_SEED).normal(size=(len(query), num_planes))
+    q = _unit(query)
     qsig = int(_signatures(q[None, :], planes)[0])
     # popcount table for signature distance
     pop = np.array([bin(i).count("1") for i in range(1 << num_planes)], dtype=np.int64)
-    ref = ray.put((q, planes, qsig, pop))
-
-    # plain broadcast-lookup function (no actor pool — BASELINE.md §4 rule)
-    def score(batch: pa.Table) -> pa.Table:
-        qv, planes_, qsig_, pop_ = ray.get(ref)
-        m = _normalize(_matrix(batch[vec_col]))
-        sig = _signatures(m, planes_)
-        dist = pop_[(sig ^ np.uint64(qsig_)).astype(np.int64)]
-        keep = dist <= probe_hamming
-        scanned = int(keep.sum())
-        if scanned == 0:
-            return pa.table(
-                {id_col: pa.array([], batch[id_col].type), "cos_sim": pa.array([], pa.float64()),
-                 "scanned": pa.array([], pa.int64())}
-            )
-        cos = m[keep] @ qv
-        ids = batch[id_col].to_numpy(zero_copy_only=False)[keep]
-        # id-ascending tie-break matches the final sort (cos desc, id
-        # asc) — a bare argsort could drop the row the final sort would
-        # keep on a cosine tie at the k boundary (brute_force_topk rule)
-        order = np.lexsort((ids, -cos))[:k]
-        # scanned emitted ONCE per batch (first row) so the sum is the
-        # true candidate count, not k x it
-        scanned_col = np.zeros(len(order), dtype=np.int64)
-        if len(order):
-            scanned_col[0] = scanned
-        return pa.table(
-            {
-                id_col: pa.array(ids[order]),
-                "cos_sim": pa.array(cos[order]),
-                "scanned": pa.array(scanned_col),
-            }
-        )
-
-    df = ds.map_batches(score, batch_format="pyarrow").to_pandas()
-    if df.empty:
-        return pd.DataFrame(columns=[id_col, "cos_sim"])
-    scanned = int(df["scanned"].sum()) if len(df) else 0
-    out = (
-        df.sort_values(["cos_sim", id_col], ascending=[False, True])
-        .head(k)[[id_col, "cos_sim"]]
-        .reset_index(drop=True)
+    return _topk_scan(
+        ds, id_col, vec_col, q, k, keep=_lsh_keep, state=(planes, qsig, pop, probe_hamming)
     )
-    out["cos_sim"] = out["cos_sim"].round(6)
-    out.attrs["scanned"] = scanned
-    return out
 
 
-# ---------------------------------------------------------------------------
-# IVF (inverted-file) — the partition-pruned scale path
-# ---------------------------------------------------------------------------
-
-
-def train_centroids(
-    ds,
-    vec_col: str,
-    num_centroids: int = 64,
-    sample_size: int = 10000,
-    iters: int = 10,
-    seed: int = 23,
-) -> np.ndarray:
-    """Coarse k-means centroids from a bounded sample.
-
-    Sampling takes a capped slice from EVERY block (spreading the sample
-    across the corpus) and stops at ``sample_size`` via streaming
-    ``limit`` — no corpus-sized ``count()`` pass (an r2 self-review
-    finding: the old fraction computation cost a full extra scan).  Driver
-    memory is bounded by the sample; Lloyd iterations run on the driver —
-    standard IVF training.  Centroids are L2-normalized so the assignment
-    argmax is cosine."""
-    # size the per-block cap from the plan's block count so per_block x
-    # num_blocks ~= sample_size: the streaming limit() then has to consume
-    # (nearly) every block, and every block contributes ~equally — a fixed
-    # cap would let limit() stop after the head-of-corpus blocks and bias
-    # the centroids to early clusters
-    from q_digest_ray.stages.partitioning import estimate_num_blocks
-
-    nb = estimate_num_blocks(ds) or 64  # 0 = unknown → spread as if 64 blocks
-    per_block = max(8, sample_size // nb)
-
-    def strided(batch: pa.Table) -> pa.Table:
-        # evenly-strided rows per block, not the head — ordered data (e.g.
-        # cluster-sorted) would otherwise bias the sample within a block
-        n = batch.num_rows
-        if n <= per_block:
-            return batch
-        idx = np.linspace(0, n - 1, per_block).astype(np.int64)
-        return batch.take(pa.array(idx))
-
-    sample_df = (
-        ds.map_batches(strided, batch_format="pyarrow", batch_size=None)
-        .limit(sample_size)
-        .to_pandas()
-    )
-    if len(sample_df) == 0 or vec_col not in sample_df.columns:
-        return np.zeros((0, 0))
-    sample = _normalize(_matrix(pa.array(list(sample_df[vec_col]))))
-    if len(sample) == 0:
-        return np.zeros((0, 0))
-    rng = np.random.default_rng(seed)
-    k = min(num_centroids, len(sample))
-    cents = sample[rng.choice(len(sample), k, replace=False)]
-    for _ in range(iters):
-        assign = np.argmax(sample @ cents.T, axis=1)
-        for c in range(k):
-            members = sample[assign == c]
-            if len(members):
-                v = members.mean(axis=0)
-                n = np.linalg.norm(v)
-                if n > 0:
-                    cents[c] = v / n
-    return cents
+def _ivf_keep(m: np.ndarray, state) -> np.ndarray:
+    cents, probe_mask = state
+    return probe_mask[assign_centroids(m, cents)[0]]
 
 
 def ivf_topk(
@@ -217,152 +239,26 @@ def ivf_topk(
     num_centroids: int = 64,
     nprobe: int = 8,
     seed: int = 23,
-    centroids: np.ndarray | None = None,
 ) -> pd.DataFrame:
     """IVF approximate top-k: score only vectors assigned to the ``nprobe``
-    centroids nearest the query.  Centroids + query broadcast once via
-    ray.put; assignment and filtering happen inside each batch (no added
-    shuffle); expected scanned fraction ~= nprobe / num_centroids."""
-    cents = (
-        centroids
-        if centroids is not None
-        else train_centroids(ds, vec_col, num_centroids, seed=seed)
-    )
+    centroids nearest the query.  Assignment and filtering happen inside
+    each batch (no added shuffle); expected scanned fraction ~= nprobe /
+    num_centroids."""
+    cents = train_centroids(sample_vectors(ds, vec_col), num_centroids, seed)
     if cents.size == 0:  # empty corpus: nothing to probe
-        return pd.DataFrame(columns=[id_col, "cos_sim"])
-    q = query.astype(np.float64)
-    q = q / np.linalg.norm(q)
-    probes = np.argsort(-(cents @ q))[:nprobe]
+        return _no_hits(id_col)
+    q = _unit(query)
     probe_mask = np.zeros(len(cents), dtype=bool)
-    probe_mask[probes] = True
-    ref = ray.put((q, cents, probe_mask))
-
-    # plain broadcast-lookup function (no actor pool — BASELINE.md §4 rule)
-    def score(batch: pa.Table) -> pa.Table:
-        qv, cents_, probe_mask_ = ray.get(ref)
-        m = _normalize(_matrix(batch[vec_col]))
-        assign = np.argmax(m @ cents_.T, axis=1) if len(m) else np.zeros(0, int)
-        keep = probe_mask_[assign]
-        scanned = int(keep.sum())
-        if scanned == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], batch[id_col].type),
-                    "cos_sim": pa.array([], pa.float64()),
-                    "scanned": pa.array([], pa.int64()),
-                }
-            )
-        cos = m[keep] @ qv
-        ids = batch[id_col].to_numpy(zero_copy_only=False)[keep]
-        # id-ascending tie-break matches the final sort (cos desc, id
-        # asc) — a bare argsort could drop the row the final sort would
-        # keep on a cosine tie at the k boundary (brute_force_topk rule)
-        order = np.lexsort((ids, -cos))[:k]
-        scanned_col = np.zeros(len(order), dtype=np.int64)
-        scanned_col[0] = scanned
-        return pa.table(
-            {
-                id_col: pa.array(ids[order]),
-                "cos_sim": pa.array(cos[order]),
-                "scanned": pa.array(scanned_col),
-            }
-        )
-
-    df = ds.map_batches(score, batch_format="pyarrow").to_pandas()
-    if df.empty:
-        return pd.DataFrame(columns=[id_col, "cos_sim"])
-    scanned = int(df["scanned"].sum())
-    out = (
-        df.sort_values(["cos_sim", id_col], ascending=[False, True])
-        .head(k)[[id_col, "cos_sim"]]
-        .reset_index(drop=True)
-    )
-    out["cos_sim"] = out["cos_sim"].round(6)
-    out.attrs["scanned"] = scanned
-    return out
+    probe_mask[_nearest(cents, q, nprobe)] = True
+    return _topk_scan(ds, id_col, vec_col, q, k, keep=_ivf_keep, state=(cents, probe_mask))
 
 
-def build_ivf_index(
-    ds,
-    id_col: str,
-    vec_col: str,
-    out_dir: str,
-    num_centroids: int = 64,
-    seed: int = 23,
-) -> np.ndarray:
-    """Materialize a centroid-partitioned IVF index: vectors written as
-    parquet partitioned by their assigned centroid (one directory per
-    centroid), centroids saved alongside.  A query then reads ONLY its
-    nprobe partition directories — pruning at the read, the property that
-    makes IVF the 100-TB path (and the layout is resumable: each partition
-    directory is an independent unit)."""
-    import os
-    import shutil
-
-    # write_parquet appends uniquely-named files: clear any previous index
-    # so a rebuild can't mix stale and new vectors (same hazard
-    # export_curated guards)
-    if os.path.isdir(out_dir):
-        shutil.rmtree(out_dir)
-    cents = train_centroids(ds, vec_col, num_centroids, seed=seed)
-    cref = ray.put(cents)
-
-    # plain broadcast-lookup function (no actor pool — BASELINE.md §4 rule)
-    def assign_centroid(batch: pa.Table) -> pa.Table:
-        cents_ = ray.get(cref)
-        m = _normalize(_matrix(batch[vec_col]))
-        assign = (
-            np.argmax(m @ cents_.T, axis=1).astype(np.int32)
-            if len(m)
-            else np.zeros(0, np.int32)
-        )
-        return batch.append_column("centroid", pa.array(assign))
-
-    os.makedirs(out_dir, exist_ok=True)
-    np.save(os.path.join(out_dir, "centroids.npy"), cents)
-    ds.map_batches(assign_centroid, batch_format="pyarrow").write_parquet(
-        os.path.join(out_dir, "vectors"), partition_cols=["centroid"]
-    )
-    return cents
+# ---------------------------------------------------------------------------
+# Product quantization (ADC)
+# ---------------------------------------------------------------------------
 
 
-def ivf_index_topk(
-    index_dir: str,
-    id_col: str,
-    vec_col: str,
-    query: np.ndarray,
-    k: int = 10,
-    nprobe: int = 8,
-) -> pd.DataFrame:
-    """Query a materialized IVF index: only the ``nprobe`` probed partition
-    directories are read (partition pruning by path), then exact cosine
-    within them."""
-    import os
-
-    import ray.data
-
-    cents = np.load(os.path.join(index_dir, "centroids.npy"))
-    if cents.size == 0:  # index built from an empty corpus
-        return pd.DataFrame(columns=[id_col, "cos_sim"])
-    q = query.astype(np.float64)
-    q = q / np.linalg.norm(q)
-    probes = np.argsort(-(cents @ q))[:nprobe]
-    import glob
-
-    paths = []
-    for c in probes:
-        d = os.path.join(index_dir, "vectors", f"centroid={c}")
-        if os.path.isdir(d):
-            paths.extend(sorted(glob.glob(os.path.join(d, "*.parquet"))))
-    if not paths:
-        return pd.DataFrame(columns=[id_col, "cos_sim"])
-    ds = ray.data.read_parquet(paths, columns=[id_col, vec_col])
-    return brute_force_topk(ds, id_col, vec_col, query, k=k)
-
-
-def _train_pq_books(
-    sample: np.ndarray, m: int, num_codes: int, iters: int, seed: int
-) -> list[np.ndarray]:
+def _train_pq_books(sample: np.ndarray, m: int, num_codes: int, seed: int) -> list[np.ndarray]:
     """Per-subspace k-means codebooks (shared by pq_topk and the IVF-PQ
     composite index).  L2 assignment via the dot-minus-half-norm identity."""
     D = sample.shape[1]
@@ -374,7 +270,7 @@ def _train_pq_books(
         X = sample[:, j * sub : (j + 1) * sub]
         ks = min(num_codes, len(X))
         C = X[rng.choice(len(X), ks, replace=False)].copy()
-        for _ in range(iters):
+        for _ in range(PQ_ITERS):
             a = (X @ C.T - 0.5 * (C * C).sum(axis=1)).argmax(axis=1)
             for c in range(ks):
                 mem = X[a == c]
@@ -396,6 +292,20 @@ def _pq_encode(M: np.ndarray, books: list[np.ndarray]) -> np.ndarray:
     return codes
 
 
+def _pq_keep(M: np.ndarray, state) -> np.ndarray:
+    """Mask of the batch's top ``cand`` ADC scores."""
+    books, luts, half_norms, cand = state
+    sub = books[0].shape[1]
+    s = np.zeros(M.shape[0], dtype=np.float64)
+    for j in range(len(books)):
+        a = (M[:, j * sub : (j + 1) * sub] @ books[j].T - half_norms[j]).argmax(axis=1)
+        s += luts[j][a]
+    take = min(cand, len(s))
+    mask = np.zeros(len(s), dtype=bool)
+    mask[np.argpartition(-s, take - 1)[:take]] = True
+    return mask
+
+
 def pq_topk(
     ds,
     id_col: str,
@@ -404,9 +314,6 @@ def pq_topk(
     k: int = 10,
     m: int = 8,
     num_codes: int = 64,
-    sample_size: int = 2000,
-    iters: int = 8,
-    seed: int = 31,
     rerank: int = 4,
 ) -> pd.DataFrame:
     """Product-quantization ANN (Jegou et al. 2011, ADC form): per-subspace
@@ -414,68 +321,24 @@ def pq_topk(
     sample-sized); scoring is ONE streaming pass where each subspace
     assignment is a small matmul and the ADC score is a lookup-table
     gather; the top ``rerank*k`` ADC candidates per batch are exact-cosine
-    reranked in-batch, so the final combine sorts true cosines.
+    scored in-batch, so the final fold sorts true cosines.
 
     At 100 TB the m-byte codes (vs 4*D-byte floats) would live in a
-    materialized compressed index (the build_ivf_index pattern); here
-    encoding fuses into the scan since the corpus is read once anyway —
-    the memory story (LUT + codebooks broadcast once, ~m*codes*sub floats)
-    is the same either way."""
-    q = query.astype(np.float64)
-    q = q / np.linalg.norm(q)
-
-    from q_digest_ray.stages.partitioning import estimate_num_blocks
-
-    nb = estimate_num_blocks(ds) or 64
-    per_block = max(8, sample_size // nb)
-
-    def strided(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n <= per_block:
-            return batch
-        idx = np.linspace(0, n - 1, per_block).astype(np.int64)
-        return batch.take(pa.array(idx))
-
-    sample_df = (
-        ds.map_batches(strided, batch_format="pyarrow", batch_size=None)
-        .limit(sample_size)
-        .to_pandas()
-    )
-    if len(sample_df) == 0:
-        return pd.DataFrame(columns=[id_col, "cos_sim"])
-    sample = _normalize(_matrix(pa.array(list(sample_df[vec_col]))))
-    books = _train_pq_books(sample, m, num_codes, iters, seed)
+    materialized compressed index (``build_ivfpq_index``); here encoding
+    fuses into the scan since the corpus is read once anyway — the memory
+    story (LUT + codebooks broadcast once, ~m*codes*sub floats) is the
+    same either way."""
+    sample = sample_vectors(ds, vec_col, PQ_SAMPLE)
+    if len(sample) == 0:
+        return _no_hits(id_col)
+    q = _unit(query)
+    books = _train_pq_books(sample, m, num_codes, PQ_SEED)
     sub = sample.shape[1] // m
     luts = [q[j * sub : (j + 1) * sub] @ books[j].T for j in range(m)]
     half_norms = [0.5 * (C * C).sum(axis=1) for C in books]
-    state = ray.put((books, luts, half_norms, q))
-    cand = rerank * k
-
-    def score(batch: pa.Table) -> pd.DataFrame:
-        bks, lts, hns, qv = ray.get(state)
-        M = _normalize(_matrix(batch[vec_col]))
-        if M.shape[0] == 0:
-            return pd.DataFrame({id_col: [], "cos_sim": []})
-        s = np.zeros(M.shape[0], dtype=np.float64)
-        for j in range(m):
-            X = M[:, j * sub : (j + 1) * sub]
-            a = (X @ bks[j].T - hns[j]).argmax(axis=1)
-            s += lts[j][a]
-        take = min(cand, len(s))
-        top = np.argpartition(-s, take - 1)[:take]
-        ids = batch[id_col].to_numpy(zero_copy_only=False)[top]
-        cos = M[top] @ qv  # exact rerank on ADC candidates only
-        return pd.DataFrame({id_col: ids, "cos_sim": cos})
-
-    out = (
-        ds.map_batches(score, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values(["cos_sim", id_col], ascending=[False, True])
-        .head(k)
-        .reset_index(drop=True)
+    return _topk_scan(
+        ds, id_col, vec_col, q, k, keep=_pq_keep, state=(books, luts, half_norms, rerank * k)
     )
-    out["cos_sim"] = out["cos_sim"].round(6)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +354,6 @@ def build_ivfpq_index(
     num_centroids: int = 64,
     m: int = 8,
     num_codes: int = 64,
-    sample_size: int = 2000,
-    iters: int = 8,
     seed: int = 23,
     by_residual: bool = False,
 ) -> np.ndarray:
@@ -503,7 +364,9 @@ def build_ivfpq_index(
     centroid directories, (2) column-prunes the ADC scan to (id, code) —
     m bytes/vector instead of 4*D — and (3) exact-reranks only the top ADC
     candidates by re-reading their full vectors.  Layout is resumable: each
-    partition directory is an independent unit (build_ivf_index pattern).
+    partition directory is an independent unit.  The coarse centroids and
+    the PQ codebooks train on ONE bounded sample (driver work is
+    sample-sized).
 
     ``by_residual=True`` is the Faiss-default IVFADC refinement: codebooks
     are trained on and codes encode the RESIDUAL v - centroid(v), which
@@ -517,7 +380,8 @@ def build_ivfpq_index(
 
     if os.path.isdir(out_dir):
         shutil.rmtree(out_dir)
-    cents = train_centroids(ds, vec_col, num_centroids, sample_size=max(sample_size, 2000), seed=seed)
+    sample = sample_vectors(ds, vec_col, PQ_SAMPLE)
+    cents = train_centroids(sample, num_centroids, seed)
     if cents.size == 0:
         os.makedirs(out_dir, exist_ok=True)
         np.save(os.path.join(out_dir, "centroids.npy"), cents)
@@ -527,31 +391,9 @@ def build_ivfpq_index(
                        "by_residual": by_residual}, f)
         return cents
 
-    # PQ codebooks from one strided bounded sample (same sampling shape as
-    # pq_topk — driver work is sample-sized)
-    from q_digest_ray.stages.partitioning import estimate_num_blocks
-
-    nb = estimate_num_blocks(ds) or 64
-    per_block = max(8, sample_size // nb)
-
-    def strided(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        if n <= per_block:
-            return batch
-        idx = np.linspace(0, n - 1, per_block).astype(np.int64)
-        return batch.take(pa.array(idx))
-
-    sample_df = (
-        ds.map_batches(strided, batch_format="pyarrow", batch_size=None)
-        .limit(sample_size)
-        .to_pandas()
-    )
-    sample = _normalize(_matrix(pa.array(list(sample_df[vec_col]))))
     if by_residual:
-        sassign = np.argmax(sample @ cents.T, axis=1)
-        books = _train_pq_books(sample - cents[sassign], m, num_codes, iters, seed)
-    else:
-        books = _train_pq_books(sample, m, num_codes, iters, seed)
+        sample = sample - cents[assign_centroids(sample, cents)[0]]
+    books = _train_pq_books(sample, m, num_codes, seed)
 
     os.makedirs(out_dir, exist_ok=True)
     np.save(os.path.join(out_dir, "centroids.npy"), cents)
@@ -566,11 +408,10 @@ def build_ivfpq_index(
     def assign_and_encode(batch: pa.Table) -> pa.Table:
         cents_, books_ = ray.get(cref)
         M = _normalize(_matrix(batch[vec_col]))
+        assign = assign_centroids(M, cents_)[0].astype(np.int32)
         if len(M) == 0:
-            assign = np.zeros(0, np.int32)
             codes = np.zeros((0, m), np.uint8)
         else:
-            assign = np.argmax(M @ cents_.T, axis=1).astype(np.int32)
             codes = _pq_encode(M - cents_[assign] if by_residual else M, books_)
         batch = batch.append_column(
             "pq_code", pa.FixedSizeBinaryArray.from_buffers(
@@ -594,11 +435,9 @@ def _probe_groups(index_dir: str, query: np.ndarray, nprobe: int):
     cents = np.load(os.path.join(index_dir, "centroids.npy"))
     if cents.size == 0:
         return None, cents, []
-    q = query.astype(np.float64)
-    q = q / np.linalg.norm(q)
-    probes = np.argsort(-(cents @ q))[:nprobe]
+    q = _unit(query)
     groups = []
-    for c in probes:
+    for c in _nearest(cents, q, nprobe):
         d = os.path.join(index_dir, "vectors", f"centroid={c}")
         if os.path.isdir(d):
             ps = sorted(glob.glob(os.path.join(d, "*.parquet")))
@@ -638,7 +477,7 @@ def ivfpq_index_topk(
     q, cents, groups = _probe_groups(index_dir, query, nprobe)
     paths = [p for _c, ps in groups for p in ps]
     if not paths:
-        return pd.DataFrame(columns=[id_col, "cos_sim"])
+        return _no_hits(id_col)
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
     m = meta["m"]
@@ -703,7 +542,7 @@ def ivfpq_index_topk(
         .head(cand)
     )
     if adc_df.empty:
-        return pd.DataFrame(columns=[id_col, "cos_sim"])
+        return _no_hits(id_col)
     cand_ids = adc_df[id_col].tolist()
     # exact rerank: re-read ONLY the candidates' full vectors (id filter
     # pushed to the probed partitions' row groups) — tiny driver-side table

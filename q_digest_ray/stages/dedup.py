@@ -1065,7 +1065,12 @@ def embedding_dup_pairs(
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # all-pairs exact cosine inside one LSH bucket (distributed verify)
         if len(g) < 2:
-            return pd.DataFrame(columns=["id_a", "id_b", "cos_sim"])
+            # typed empty: an object-dtype 0-row block makes Ray's block
+            # size estimate log a `vectorize` error per block
+            return pd.DataFrame(
+                {"id_a": np.zeros(0, np.int64), "id_b": np.zeros(0, np.int64),
+                 "cos_sim": np.zeros(0)}
+            )
         m = np.stack(g["vec"].to_numpy())
         ids = g["id"].to_numpy()
         if len(g) > max_bucket:

@@ -89,7 +89,7 @@ def test_cc_pages_flagship(ray_session, tmp_path):
 
     d = str(tmp_path / "cc")
     synthesize(d, total_rows=2000, shards=4, seed=42)
-    df = run_cc_pages_flagship(d, batch_size=512)
+    df = run_cc_pages_flagship(d)
     # n accounted for every row in every global sketch
     for metric in ("text_len_qdigest", "html_size_qdigest", "distinct_url_hll"):
         n = df.query(f"metric == '{metric}' and stat == 'n'")["value"].iloc[0]

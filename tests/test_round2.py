@@ -502,28 +502,6 @@ def test_ivf_topk_high_recall_on_clustered(ray_session):
     assert ivf.attrs["scanned"] < len(vecs) * 0.6
 
 
-def test_ivf_index_build_and_query(ray_session, tmp_path):
-    import ray.data
-
-    from q_digest_ray.stages.ann import brute_force_topk, build_ivf_index, ivf_index_topk
-
-    vecs = _clustered_vectors(seed=6)
-    df = pd.DataFrame(
-        {"vid": np.arange(len(vecs), dtype="int64"), "v": [list(x) for x in vecs]}
-    )
-    idx_dir = str(tmp_path / "ivf")
-    build_ivf_index(ray.data.from_pandas(df), "vid", "v", idx_dir, num_centroids=8, seed=9)
-    import os
-
-    parts = [d for d in os.listdir(os.path.join(idx_dir, "vectors")) if d.startswith("centroid=")]
-    assert len(parts) >= 2, "index must be partitioned by centroid"
-    query = vecs[123] + 0.05
-    got = ivf_index_topk(idx_dir, "vid", "v", query, k=10, nprobe=3)
-    brute = brute_force_topk(ray.data.from_pandas(df), "vid", "v", query, k=10)
-    recall = len(set(got["vid"]) & set(brute["vid"])) / 10
-    assert recall >= 0.9, recall
-
-
 # ---------------------------------------------------------------------------
 # end-to-end curation pipeline (dedup -> quality filter -> partitioned export)
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def main() -> int:
     if args.pipeline == "flagship":
         from q_digest_ray.pipelines.flagship import run_cc_pages_flagship
 
-        result = run_cc_pages_flagship(args.input, batch_size=None)
+        result = run_cc_pages_flagship(args.input)
     elif args.pipeline == "ingest":
         import pandas as pd
 
